@@ -8,7 +8,9 @@ import (
 
 	"selfstabsnap/internal/core"
 	"selfstabsnap/internal/reset"
+	"selfstabsnap/internal/tcpnet"
 	"selfstabsnap/internal/types"
+	"selfstabsnap/internal/wire"
 )
 
 // Allocation-regression guard: hard ceilings on the hot path's allocs/op
@@ -32,6 +34,21 @@ func allocCeilings() []allocCeiling {
 		{"snapshot", 4, 256, 70, 10_000},
 		{"write", 16, 256, 185, 45_000},
 		{"snapshot", 16, 256, 195, 48_000},
+	}
+}
+
+// skipUnlessAllocationsRepresentative skips an allocation guard in builds
+// whose allocation counts say nothing about production.
+func skipUnlessAllocationsRepresentative(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are inflated and non-representative under -race")
+	}
+	if types.MutcheckEnabled {
+		t.Skip("mutcheck's fingerprint registry allocates by design; ceilings hold for production builds")
+	}
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode")
 	}
 }
 
@@ -61,15 +78,7 @@ func measureOp(t *testing.T, ops int, fn func() error) (allocsOp, bytesOp int64)
 // immediately. The name shares the TestHotpathAllocationCeilings prefix
 // so CI's existing `-run TestHotpathAllocationCeilings` leg picks it up.
 func TestHotpathAllocationCeilingsWrapTick(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are inflated and non-representative under -race")
-	}
-	if types.MutcheckEnabled {
-		t.Skip("mutcheck's fingerprint registry allocates by design; ceilings hold for production builds")
-	}
-	if testing.Short() {
-		t.Skip("allocation guard skipped in -short mode")
-	}
+	skipUnlessAllocationsRepresentative(t)
 	const n, nu, ops = 16, 256, 200
 	payload := make([]byte, nu)
 	for i := range payload {
@@ -100,16 +109,66 @@ func TestHotpathAllocationCeilingsWrapTick(t *testing.T) {
 	}
 }
 
+// TestHotpathAllocationCeilingsTCPHop guards the TCP transport's frame
+// path: one 5-entry ν = 1024 WRITE sent over a loopback pair and received,
+// sender and receiver together, where four of the five entries repeat the
+// previous frame — the shape of Algorithm 1's traffic. What may be allocated
+// per delivered frame is the message itself: its struct, its entry array and
+// the one payload that changed (≈ 1.4 KB, 3 allocations). A per-frame
+// buffer on either side, or a decoder that copies repeated payloads again,
+// costs ≥ 4 KB more and trips the ceiling (the path this replaced spent
+// ≈ 16 KB per frame). The name shares the TestHotpathAllocationCeilings
+// prefix so CI's existing `-run TestHotpathAllocationCeilings` leg picks it
+// up.
+func TestHotpathAllocationCeilingsTCPHop(t *testing.T) {
+	skipUnlessAllocationsRepresentative(t)
+	const n, nu, warmup, ops = 5, 1024, 200, 2000
+	mesh, err := tcpnet.NewMesh(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Close()
+	from, to := mesh.Transports[0], mesh.Transports[1]
+
+	// Two vectors that differ in entry 0 only, sent alternately.
+	var regs [2]types.RegVector
+	for v := range regs {
+		regs[v] = types.NewRegVector(n)
+		for k := range regs[v] {
+			payload := make([]byte, nu)
+			for i := range payload {
+				payload[i] = byte('a' + (i+k)%26)
+			}
+			regs[v][k] = types.TSValue{TS: int64(k + 1), Val: payload}
+		}
+	}
+	regs[1][0].Val[0] = '!'
+	msg := &wire.Message{Type: wire.TWrite}
+	i := 0
+	hop := func() error {
+		i++
+		msg.SSN, msg.Reg = int64(i), regs[i%2]
+		from.Send(0, 1, msg)
+		got, ok := to.Recv(1)
+		if !ok || got.SSN != int64(i) || len(got.Reg) != n {
+			return fmt.Errorf("frame %d not delivered: %+v", i, got)
+		}
+		return nil
+	}
+	measureOp(t, warmup, hop) // connect, grow the pooled frame, fill the decoder's cache
+	allocs, bytes := measureOp(t, ops, hop)
+	const allocCeil, byteCeil = 6, 2_048
+	t.Logf("tcp hop n=%d ν=%d: %d allocs/frame, %d B/frame (ceiling %d / %d)", n, nu, allocs, bytes, allocCeil, byteCeil)
+	if allocs > allocCeil {
+		t.Errorf("allocs/frame regression: %d > ceiling %d — a per-frame buffer crept back onto the TCP frame path?", allocs, allocCeil)
+	}
+	if bytes > byteCeil {
+		t.Errorf("B/frame regression: %d > ceiling %d — a per-frame buffer crept back onto the TCP frame path?", bytes, byteCeil)
+	}
+}
+
 func TestHotpathAllocationCeilings(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are inflated and non-representative under -race")
-	}
-	if types.MutcheckEnabled {
-		t.Skip("mutcheck's fingerprint registry allocates by design; ceilings hold for production builds")
-	}
-	if testing.Short() {
-		t.Skip("allocation guard skipped in -short mode")
-	}
+	skipUnlessAllocationsRepresentative(t)
 	const ops = 150
 	for _, c := range allocCeilings() {
 		t.Run(fmt.Sprintf("%s/n=%d/nu=%d", c.op, c.n, c.nu), func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"selfstabsnap/internal/core"
+	"selfstabsnap/internal/nonblocking"
 	"selfstabsnap/internal/trace"
 	"selfstabsnap/internal/types"
 	"selfstabsnap/internal/wire"
@@ -34,6 +35,10 @@ func RunE1(p Params) []*Table {
 
 		rec.Mark(0, "p0 invokes write(v1)")
 		mustDo(c.Write(0, types.Value("v1")))
+		// The write returned at a majority, which need not include p1. Were
+		// p0's WRITE to reach p1 in the middle of its snapshot, the double
+		// collect would take a second round in this leg and not the other.
+		awaitRegister(c, 1, 0, 1)
 		rec.Mark(1, "p1 invokes snapshot()")
 		if _, err := c.Snapshot(1); err != nil {
 			panic(err)
@@ -78,6 +83,17 @@ func RunE1(p Params) []*Table {
 	}
 	counts.AddNote("operation message flows are identical across the two variants; the self-stabilizing version adds only O(n²) GOSSIP per asynchronous cycle (paper Fig. 1)")
 	return append([]*Table{counts}, figures...)
+}
+
+// awaitRegister waits until node id's register vector holds writer's write
+// number ts (or a later one), that is until id has handled that WRITE.
+func awaitRegister(c *core.Cluster, id, writer int, ts int64) {
+	nd := c.Object(id).(*nonblocking.Node)
+	for deadline := time.Now().Add(5 * time.Second); nd.StateSummary().Reg[writer].TS < ts; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			panic(fmt.Sprintf("bench: p%d never saw p%d's write %d", id, writer, ts))
+		}
+	}
 }
 
 // RunE2 measures Algorithm 1's communication complexity: O(n) messages of

@@ -790,33 +790,15 @@ func (nd *Node) MergeReg(r types.RegVector) {
 	}
 }
 
-// ApplyReset implements §5's global reset at this node: operation indices
-// collapse to their initial values, register values survive (non-⊥ entries
-// restart at write index 1), and the pending-task table clears — every
-// snapshot task from the old index era is obsolete by construction, since
-// the reset only runs with all nodes frozen and drained.
-func (nd *Node) ApplyReset() {
-	nd.mu.Lock()
-	for k := range nd.reg {
-		if !nd.reg[k].IsBottom() {
-			nd.reg[k].TS = 1
-		}
-	}
-	nd.ts = nd.reg[nd.id].TS
-	nd.ssn, nd.sns = 0, 0
-	nd.pndTsk = make([]pnd, nd.n)
-	nd.mu.Unlock()
-	if nd.acks != nil {
-		nd.acks.Reset() // pre-reset acks describe collapsed indices
-	}
-}
-
-// InstallReset is ApplyReset with the register vector replaced wholesale
-// by r, the value the reset consensus decided: non-⊥ decided entries
-// restart at write index 1 with their decided values, every operation
-// index re-initialises, and the pending-task table clears. Installing the
-// decided vector makes all committing nodes byte-identical without
-// requiring the MAXIDX gossip to have converged first.
+// InstallReset implements §5's global reset at this node: the register
+// vector is replaced wholesale by r, the value the reset consensus decided
+// (non-⊥ decided entries restart at write index 1 with their decided
+// values), every operation index re-initialises, and the pending-task table
+// clears — every snapshot task from the old index era is obsolete by
+// construction, since the reset only runs with all nodes frozen and
+// drained. Installing the decided vector makes all committing nodes
+// byte-identical without requiring the MAXIDX gossip to have converged
+// first.
 func (nd *Node) InstallReset(r types.RegVector) {
 	nd.mu.Lock()
 	nd.reg = types.NewRegVector(nd.n)

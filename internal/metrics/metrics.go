@@ -1,7 +1,11 @@
-// Package metrics provides lock-free counters used to meter every quantity
-// the paper's complexity claims are stated in: messages and bytes by message
-// type, operation counts and latencies, retransmissions, and do-forever loop
-// iterations (the basis of asynchronous-cycle measurements).
+// Package metrics provides the lock-free counters that meter the quantities
+// the paper's complexity claims are stated in — messages and bytes by
+// message type — together with what the channels lost or refused (drops,
+// duplicates, evictions, reconnects, write failures, invalid messages) and
+// what gossip sent or suppressed, plus an operation-latency recorder.
+// Retransmissions and do-forever loop iterations are not counted here: a
+// retransmission is metered as one more send of its type, and loop counts
+// live in node.Runtime.
 package metrics
 
 import (

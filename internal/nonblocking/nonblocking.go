@@ -425,34 +425,15 @@ func (nd *Node) MergeReg(r types.RegVector) {
 	}
 }
 
-// ApplyReset implements §5's global-reset step at this node: every
-// operation index collapses to its initial value while register *values*
-// are preserved — non-⊥ entries restart at write index 1, and ts/ssn
-// restart accordingly. All nodes must hold identical registers when this
-// runs (the reset protocol guarantees it).
-func (nd *Node) ApplyReset() {
-	nd.mu.Lock()
-	for k := range nd.reg {
-		if !nd.reg[k].IsBottom() {
-			nd.reg[k].TS = 1
-		}
-	}
-	nd.ts = nd.reg[nd.id].TS
-	nd.ssn = 0
-	nd.mu.Unlock()
-	if nd.acks != nil {
-		nd.acks.Reset() // pre-reset acks describe collapsed indices
-	}
-}
-
-// InstallReset is ApplyReset with the register vector replaced wholesale
-// by r, the value the reset consensus decided. Installing the decided
-// vector — rather than collapsing whatever this node happens to hold —
-// makes every committing node's post-reset registers byte-identical even
-// when the MAXIDX gossip had not yet converged them: agreement on the
-// installed state follows from consensus agreement alone. Indices
-// collapse exactly as in ApplyReset (non-⊥ entries restart at write
-// index 1, values preserved).
+// InstallReset implements §5's global-reset step at this node: the register
+// vector is replaced wholesale by r, the value the reset consensus decided,
+// and every operation index collapses to its initial value while register
+// *values* are preserved — non-⊥ entries restart at write index 1, and
+// ts/ssn restart accordingly. Installing the decided vector — rather than
+// collapsing whatever this node happens to hold — makes every committing
+// node's post-reset registers byte-identical even when the MAXIDX gossip
+// had not yet converged them: agreement on the installed state follows from
+// consensus agreement alone.
 func (nd *Node) InstallReset(r types.RegVector) {
 	nd.mu.Lock()
 	nd.reg = types.NewRegVector(nd.n)

@@ -1,7 +1,6 @@
 package tcpnet
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -17,33 +16,7 @@ import (
 // regression test for the old synchronous send path, where every caller
 // paid up to WriteTimeout for a stalled peer.
 func TestStalledPeerDoesNotBlockSend(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 8)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			accepted <- conn // hold the connection open, never read it
-		}
-	}()
-	defer func() {
-		for {
-			select {
-			case c := <-accepted:
-				c.Close()
-			default:
-				return
-			}
-		}
-	}()
-
-	tr, err := NewWithOptions(0, []string{"127.0.0.1:0", ln.Addr().String()}, Options{OutboxCap: 4})
+	tr, err := NewWithOptions(0, []string{"127.0.0.1:0", stalledListener(t)}, Options{OutboxCap: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

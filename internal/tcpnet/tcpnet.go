@@ -28,12 +28,15 @@
 package tcpnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"selfstabsnap/internal/mailbox"
@@ -44,6 +47,13 @@ import (
 // maxFrame bounds accepted frames; bigger ones indicate corruption and
 // close the connection.
 const maxFrame = 16 << 20
+
+// readWindow is the size of each inbound connection's read buffer. One read
+// fills it with as many whole frames as have arrived (a dozen 5-entry
+// ν = 1024 register vectors), and every frame that fits is decoded where it
+// lies; only a frame longer than the window is read into a buffer of its
+// own.
+const readWindow = 64 << 10
 
 // Options tunes a Transport. The zero value gets production defaults.
 type Options struct {
@@ -57,7 +67,12 @@ type Options struct {
 	OutboxCap int
 	// DialTimeout bounds each connection attempt (default 1s).
 	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write (default 2s).
+	// WriteTimeout bounds each frame write (default 2s): a write that
+	// makes no progress is abandoned, and its connection closed, at most
+	// WriteTimeout after it started. The writer re-arms the connection's
+	// deadline only when less than half of WriteTimeout remains on it, not
+	// before every write, so a stalled write is given between half of
+	// WriteTimeout and all of it.
 	WriteTimeout time.Duration
 	// RedialBackoffMin is the first wait after a failed dial (default
 	// 50ms); it doubles per consecutive failure up to RedialBackoffMax
@@ -106,12 +121,48 @@ func (o Options) withDefaults() Options {
 // and writes, so senders never touch the socket; the mutex exists so
 // signalClose can yank the connection out from under a blocked write.
 type peer struct {
-	outbox *mailbox.Queue[[]byte] // nil for the self peer (loopback skips sockets)
+	outbox *mailbox.Queue[*frame] // nil for the self peer (loopback skips sockets)
 
 	mu       sync.Mutex
 	conn     net.Conn
+	deadline time.Time // write deadline armed on conn; zero on a fresh connection
 	backoff  time.Duration
 	nextDial time.Time
+}
+
+// frame is one encoded outbound message: 4-byte little-endian payload
+// length, then the payload. Frames come from a pool and are counted by
+// reference, because a SendMany queues one frame to several writers: the
+// sender holds a reference while it queues, each outbox entry holds one,
+// and whoever drops the last returns the frame to the pool. Only writers
+// and senders release. A frame evicted from a full outbox, or drained at
+// shutdown, keeps its count above zero for ever and is left to the garbage
+// collector — so a frame is never recycled while any queue may still
+// deliver it.
+type frame struct {
+	buf  []byte
+	refs atomic.Int32
+}
+
+var framePool = sync.Pool{New: func() any { return new(frame) }}
+
+// newFrame encodes m into a pooled frame and returns it holding the
+// caller's reference. The buffer is grown to exactly the frame's size (by
+// m.Size()) at most once, and reused as is when it is already that large.
+func newFrame(m *wire.Message) *frame {
+	f := framePool.Get().(*frame)
+	n := m.Size()
+	b := slices.Grow(f.buf[:0], 4+n)
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	f.buf = wire.AppendMarshal(b, m)
+	f.refs.Store(1)
+	return f
+}
+
+func (f *frame) release() {
+	if f.refs.Add(-1) == 0 {
+		framePool.Put(f)
+	}
 }
 
 // Transport is a single node's TCP endpoint. It implements
@@ -168,7 +219,7 @@ func NewWithOptions(self int, addrs []string, opts Options) (*Transport, error) 
 		if i == self {
 			continue // loopback never goes through a socket
 		}
-		t.peers[i].outbox = mailbox.New[[]byte](opts.OutboxCap)
+		t.peers[i].outbox = mailbox.New[*frame](opts.OutboxCap)
 		t.wg.Add(1)
 		go t.writeLoop(t.peers[i], i)
 	}
@@ -218,20 +269,39 @@ func (t *Transport) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 		conn.Close()
 	}()
-	var hdr [4]byte
+	// A frame that fits the read window is decoded where it lies: the codec
+	// copies every byte it keeps, so the window is free for the next read as
+	// soon as Unmarshal returns. The decoder is per connection because it
+	// interns payloads against the previous message of this sender.
+	br := bufio.NewReaderSize(conn, readWindow)
+	var dec wire.Decoder
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		hdr, err := br.Peek(4)
+		if err != nil {
 			return
 		}
-		n := binary.LittleEndian.Uint32(hdr[:])
+		n := int(binary.LittleEndian.Uint32(hdr))
 		if n == 0 || n > maxFrame {
 			return // corrupted stream; drop the connection
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(conn, buf); err != nil {
+		br.Discard(4) // cannot fail: the bytes are buffered
+		inPlace := n <= readWindow
+		var payload []byte
+		if inPlace {
+			payload, err = br.Peek(n)
+		} else {
+			payload = make([]byte, n)
+			_, err = io.ReadFull(br, payload)
+		}
+		if err != nil {
 			return
 		}
-		m, err := wire.Unmarshal(buf)
+		m, err := dec.Unmarshal(payload)
+		if inPlace {
+			// The length prefix, not the decoder, delimits the frame: a
+			// corrupted frame is skipped whole and the stream stays in step.
+			br.Discard(n)
+		}
 		if err != nil {
 			continue // corrupted frame; self-stabilization demands we drop, not crash
 		}
@@ -251,16 +321,6 @@ func (t *Transport) accept(m *wire.Message) {
 	if t.inbox.Push(m) {
 		t.counters.RecordEviction()
 	}
-}
-
-// encodeFrame builds a length-prefixed wire frame (4-byte little-endian
-// payload length, then the payload) in a single allocation, sized exactly
-// by m.Size().
-func encodeFrame(m *wire.Message) []byte {
-	n := m.Size()
-	b := make([]byte, 4, 4+n)
-	binary.LittleEndian.PutUint32(b, uint32(n))
-	return wire.AppendMarshal(b, m)
 }
 
 // Send implements netsim.Transport. from must be this node's id. The frame
@@ -288,26 +348,27 @@ func (t *Transport) Send(from, to int, m *wire.Message) {
 		t.accept(c)
 		return
 	}
-	env := m.ShallowClone()
+	env := *m // the envelope is only read while encoding; it need not outlive Send
 	env.From, env.To = int32(from), int32(to)
-	frame := encodeFrame(env)
-	t.counters.RecordSend(env.Type, len(frame)-4)
-	t.enqueueFrame(to, frame)
+	f := newFrame(&env)
+	t.counters.RecordSend(env.Type, len(f.buf)-4)
+	t.enqueueFrame(to, f)
+	f.release()
 }
 
 // SendMany implements the netsim.ManySender broadcast fast path: the frame
-// is marshalled once and the same backing slice is queued to every
-// recipient's writer (writers only read frames, so sharing is safe). The
-// shared frame cannot carry a per-recipient To, so it is stamped with -1
-// and the receiving transport rewrites To on arrival — as every readLoop
-// does for all frames. Metering is identical to a Send loop: one send of
-// the payload size per recipient.
+// is marshalled once and the same frame is queued to every recipient's
+// writer (writers only read frames, so sharing is safe; the last one to
+// finish with it recycles it). The shared frame cannot carry a
+// per-recipient To, so it is stamped with -1 and the receiving transport
+// rewrites To on arrival — as every readLoop does for all frames. Metering
+// is identical to a Send loop: one send of the payload size per recipient.
 func (t *Transport) SendMany(from int, to []int, m *wire.Message) {
 	if from != t.self {
 		return
 	}
-	var frame []byte
-	sent := 0
+	var f *frame
+	sent, size := 0, 0
 	for _, k := range to {
 		if k < 0 || k >= len(t.addrs) {
 			continue
@@ -319,24 +380,28 @@ func (t *Transport) SendMany(from int, to []int, m *wire.Message) {
 			t.accept(c)
 			continue
 		}
-		if frame == nil {
-			env := m.ShallowClone()
+		if f == nil {
+			env := *m
 			env.From, env.To = int32(from), -1 // To is stamped by the receiver
-			frame = encodeFrame(env)
+			f = newFrame(&env)
+			size = len(f.buf) - 4
 		}
-		t.enqueueFrame(k, frame)
+		t.enqueueFrame(k, f)
 		sent++
 	}
 	if sent > 0 {
-		t.counters.RecordSendMany(m.Type, sent, len(frame)-4)
+		f.release()
+		t.counters.RecordSendMany(m.Type, sent, size)
 	}
 }
 
-// enqueueFrame hands a frame to peer to's writer goroutine. An overflowing
-// outbox loses its oldest frame — the sender-side half of the model's
-// bounded-capacity channel — metered as an eviction.
-func (t *Transport) enqueueFrame(to int, frame []byte) {
-	if t.peers[to].outbox.Push(frame) {
+// enqueueFrame hands a frame to peer to's writer goroutine, with a
+// reference of its own. An overflowing outbox loses its oldest frame — the
+// sender-side half of the model's bounded-capacity channel — metered as an
+// eviction.
+func (t *Transport) enqueueFrame(to int, f *frame) {
+	f.refs.Add(1)
+	if t.peers[to].outbox.Push(f) {
 		t.counters.RecordEviction()
 	}
 }
@@ -344,19 +409,24 @@ func (t *Transport) enqueueFrame(to int, frame []byte) {
 // writeLoop is peer to's writer goroutine: it drains the outbox in bursts
 // — one blocking Pop, then non-blocking TryPops up to WriteBatch — and
 // hands each burst to a single vectored write. All blocking I/O of the
-// send path happens here, off the caller's critical path. The batch
-// scratch is private to this goroutine: net.Buffers consumes its slice
-// headers during the write, never the (possibly SendMany-shared,
-// immutable) frame bytes.
+// send path happens here, off the caller's critical path. The scratch
+// slices are private to this goroutine: net.Buffers consumes the slice
+// headers in bufs during the write, never the (possibly SendMany-shared,
+// immutable) frame bytes. Written or dropped, every frame of the burst is
+// released afterwards.
 func (t *Transport) writeLoop(p *peer, to int) {
 	defer t.wg.Done()
-	batch := make([][]byte, 0, t.opts.WriteBatch)
+	batch := make([]*frame, 0, t.opts.WriteBatch)
+	bufs := make([][]byte, 0, t.opts.WriteBatch)
+	// WriteTo needs an addressable net.Buffers that escapes; declared here
+	// it is allocated once per writer, not once per burst.
+	var vec net.Buffers
 	for {
-		frame, ok := p.outbox.Pop()
+		f, ok := p.outbox.Pop()
 		if !ok {
 			return
 		}
-		batch = append(batch[:0], frame)
+		batch = append(batch[:0], f)
 		for len(batch) < t.opts.WriteBatch {
 			next, ok := p.outbox.TryPop()
 			if !ok {
@@ -364,7 +434,16 @@ func (t *Transport) writeLoop(p *peer, to int) {
 			}
 			batch = append(batch, next)
 		}
-		t.writeFrames(p, to, batch)
+		bufs = bufs[:0]
+		for _, queued := range batch {
+			bufs = append(bufs, queued.buf)
+		}
+		vec = bufs
+		t.writeFrames(p, to, &vec)
+		for i, queued := range batch {
+			queued.release()
+			batch[i], bufs[i] = nil, nil
+		}
 	}
 }
 
@@ -376,21 +455,26 @@ func (t *Transport) writeLoop(p *peer, to int) {
 // lossy network. On a mid-batch write error only the undelivered
 // remainder counts as dropped: net.Buffers consumes fully-written frames,
 // so what is left in bufs is exactly what the peer will not receive.
-func (t *Transport) writeFrames(p *peer, to int, frames [][]byte) {
+func (t *Transport) writeFrames(p *peer, to int, bufs *net.Buffers) {
 	p.mu.Lock()
 	conn := p.conn
 	if conn == nil {
 		var ok bool
 		if conn, ok = t.dialLocked(p, to); !ok {
 			p.mu.Unlock()
-			for range frames {
+			for range *bufs {
 				t.counters.RecordDrop()
 			}
 			return
 		}
 	}
-	bufs := net.Buffers(frames)
-	conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+	// Re-arming the deadline costs a poller timer update; with more than
+	// half of WriteTimeout left on it, the armed one still bounds this
+	// write well enough (see Options.WriteTimeout).
+	if now := time.Now(); p.deadline.Sub(now) < t.opts.WriteTimeout/2 {
+		p.deadline = now.Add(t.opts.WriteTimeout)
+		conn.SetWriteDeadline(p.deadline)
+	}
 	if _, err := bufs.WriteTo(conn); err != nil {
 		if p.conn == conn {
 			p.conn = nil
@@ -398,7 +482,7 @@ func (t *Transport) writeFrames(p *peer, to int, frames [][]byte) {
 		p.mu.Unlock()
 		conn.Close()
 		t.counters.RecordWriteFailure()
-		for range bufs {
+		for range *bufs {
 			t.counters.RecordDrop()
 		}
 		return
@@ -434,6 +518,7 @@ func (t *Transport) dialLocked(p *peer, to int) (net.Conn, bool) {
 		return nil, false
 	}
 	p.conn = conn
+	p.deadline = time.Time{}
 	p.backoff = 0
 	p.nextDial = time.Time{}
 	t.counters.RecordReconnect()

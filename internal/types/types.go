@@ -126,7 +126,7 @@ func (r RegVector) Clone() RegVector {
 // copied — O(n) work regardless of payload size ν, versus Clone's O(n·ν).
 //
 // The snapshot is insulated from every subsequent *entry replacement* in r
-// (writes, MergeFrom, Corrupt, ApplyReset all replace whole entries), and
+// (writes, MergeFrom, Corrupt, InstallReset all replace whole entries), and
 // it is safe to publish to other goroutines because payload bytes are never
 // mutated after creation — the Value immutability contract. Under
 // `-tags mutcheck` each shared payload's fingerprint is verified here.

@@ -66,9 +66,10 @@ func (e *encoder) vectorClock(v types.VectorClock) {
 }
 
 type decoder struct {
-	b   []byte
-	off int
-	err error
+	b      []byte
+	off    int
+	err    error
+	intern *Decoder // nil for the stateless Unmarshal: every payload is a fresh buffer
 }
 
 func (d *decoder) fail() {
@@ -122,7 +123,12 @@ func (d *decoder) u64() uint64 {
 func (d *decoder) i64() int64 { return int64(d.u64()) }
 func (d *decoder) i32() int32 { return int32(d.u32()) }
 
-func (d *decoder) bytesVal() []byte {
+// bytesVal decodes one length-prefixed payload. It never returns a slice of
+// d.b: the caller may reuse the input buffer as soon as Unmarshal returns
+// (the TCP transport decodes in place from its read window). slot is the
+// payload's position for a Decoder's interning cache: its index within a
+// register vector, or entrySlot.
+func (d *decoder) bytesVal(slot int) []byte {
 	n := int(d.u32())
 	if n == 0 {
 		return nil
@@ -135,7 +141,14 @@ func (d *decoder) bytesVal() []byte {
 	if s == nil {
 		return nil
 	}
-	out := make([]byte, n)
+	if d.intern != nil {
+		return d.intern.value(slot, s)
+	}
+	return copyPayload(s)
+}
+
+func copyPayload(s []byte) types.Value {
+	out := make(types.Value, len(s))
 	copy(out, s)
 	if types.MutcheckEnabled {
 		// A decoded payload is a fresh buffer entering the algorithm layer:
@@ -145,8 +158,8 @@ func (d *decoder) bytesVal() []byte {
 	return out
 }
 
-func (d *decoder) tsValue() types.TSValue {
-	return types.TSValue{TS: d.i64(), Val: d.bytesVal()}
+func (d *decoder) tsValue(slot int) types.TSValue {
+	return types.TSValue{TS: d.i64(), Val: d.bytesVal(slot)}
 }
 
 func (d *decoder) regVector() types.RegVector {
@@ -160,7 +173,7 @@ func (d *decoder) regVector() types.RegVector {
 	}
 	r := make(types.RegVector, n)
 	for i := range r {
-		r[i] = d.tsValue()
+		r[i] = d.tsValue(i)
 	}
 	return r
 }
@@ -247,12 +260,17 @@ func marshalInto(e *encoder, m *Message) {
 // corrupted frames are rejected rather than propagated.
 func Unmarshal(b []byte) (*Message, error) {
 	d := decoder{b: b}
-	m := unmarshalFrom(&d, 0)
+	return d.message()
+}
+
+// message decodes the whole of d.b as exactly one message.
+func (d *decoder) message() (*Message, error) {
+	m := unmarshalFrom(d, 0)
 	if d.err != nil {
 		return nil, d.err
 	}
-	if d.off != len(b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes", len(b)-d.off)
+	if d.off != len(d.b) {
+		return nil, fmt.Errorf("wire: %d trailing bytes", len(d.b)-d.off)
 	}
 	return m, nil
 }
@@ -285,7 +303,7 @@ func unmarshalFrom(d *decoder, depth int) *Message {
 	m.Src = d.i32()
 	m.TaskSN = d.i64()
 	m.Reg = d.regVector()
-	m.Entry = d.tsValue()
+	m.Entry = d.tsValue(entrySlot)
 
 	nt := int(d.u16())
 	if nt > maxElems {
