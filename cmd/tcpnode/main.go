@@ -176,6 +176,10 @@ func main() {
 			snapLat.Histogram().WritePrometheus(w, "selfstabsnap_snapshot_latency_seconds")
 			fmt.Fprintf(w, "# TYPE selfstabsnap_loop_iterations_total counter\nselfstabsnap_loop_iterations_total %d\n",
 				obj.Runtime().LoopCount())
+			fmt.Fprintf(w, "# TYPE selfstabsnap_loop_kicks_total counter\nselfstabsnap_loop_kicks_total %d\n",
+				obj.Runtime().LoopKicks())
+			fmt.Fprintf(w, "# TYPE selfstabsnap_loop_on_demand_iterations_total counter\nselfstabsnap_loop_on_demand_iterations_total %d\n",
+				obj.Runtime().OnDemandIterations())
 			fmt.Fprintf(w, "# TYPE selfstabsnap_journal_events_total counter\nselfstabsnap_journal_events_total %d\n",
 				journal.Total())
 			if d := deltaValue(); d >= 0 {
@@ -225,7 +229,9 @@ func main() {
 				N           int                `json:"n"`
 				Shards      int                `json:"dispatch_shards"`
 				Objects     int                `json:"objects"`
-				LoopCount   int64              `json:"loop_count"`
+				LoopCount   int64              `json:"loop_count"` // full iterations only
+				LoopKicks   int64              `json:"loop_kicks_total"`
+				OnDemand    int64              `json:"loop_on_demand_iterations_total"`
 				LastTick    time.Time          `json:"last_tick"`
 				Delta       int64              `json:"delta"` // live δ; -1 when the algorithm has none
 				Registers   []regSummary       `json:"registers"`
@@ -245,6 +251,8 @@ func main() {
 				Shards:      obj.Runtime().DispatchShards(),
 				Objects:     len(objs),
 				LoopCount:   obj.Runtime().LoopCount(),
+				LoopKicks:   obj.Runtime().LoopKicks(),
+				OnDemand:    obj.Runtime().OnDemandIterations(),
 				LastTick:    obj.Runtime().LastTick(),
 				Delta:       deltaValue(),
 				Registers:   registers(),

@@ -138,13 +138,15 @@ func (nd *Node) Read(k int) (types.TSValue, error) {
 	nd.mu.Unlock()
 
 	// Phase 2: write back before returning (atomicity).
-	tag = nd.tag.Add(1)
+	// Its own variable, not tag reassigned: the dispatcher may still be
+	// inside phase 1's Accept, which reads tag, after that Call returned.
+	wbTag := nd.tag.Add(1)
 	_, err = nd.rt.Call(node.CallOpts{
 		Build: func() *wire.Message {
-			return &wire.Message{Type: wire.TRegWriteBack, Src: int32(k), Entry: best, Tag: tag}
+			return &wire.Message{Type: wire.TRegWriteBack, Src: int32(k), Entry: best, Tag: wbTag}
 		},
 		Accept: func(m *wire.Message) bool {
-			return m.Type == wire.TRegWriteBackAck && m.Tag == tag
+			return m.Type == wire.TRegWriteBackAck && m.Tag == wbTag
 		},
 	})
 	if err != nil {

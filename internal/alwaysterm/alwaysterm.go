@@ -98,6 +98,7 @@ func (nd *Node) Write(v types.Value) error {
 	nd.mu.Lock()
 	nd.writePending = pw
 	nd.mu.Unlock()
+	nd.rt.Kick() // line 38 runs now, not at the next tick
 
 	err := nd.rt.WaitUntil(func() bool {
 		select {
@@ -126,6 +127,7 @@ func (nd *Node) Snapshot() (types.RegVector, error) {
 	nd.mu.Unlock()
 
 	nd.rb.Broadcast(&wire.Message{Type: wire.TSnap, Src: k.Src, TaskSN: k.SN})
+	nd.rt.Kick() // the broadcast delivered locally: the task is queued for lines 39–42
 
 	var res types.RegVector
 	err := nd.rt.WaitUntil(func() bool {
@@ -140,13 +142,21 @@ func (nd *Node) Snapshot() (types.RegVector, error) {
 	return res.Share(), nil
 }
 
-// Tick is the do-forever loop (lines 37–42): run the pending write task if
-// any, then serve the oldest outstanding snapshot task to completion,
-// deferring further writes meanwhile — the synchronisation that makes
-// snapshots always terminate.
+// Tick is one full iteration of the do-forever loop (lines 37–42), plus
+// the reliable-broadcast layer's retransmission round, which recurs every
+// LoopInterval and only then.
 func (nd *Node) Tick() {
 	nd.rb.Tick()
+	nd.ServePending()
+}
 
+// ServePending is the loop body proper (lines 38–42): run the pending write
+// task if any, then serve the oldest outstanding snapshot task to
+// completion, deferring further writes meanwhile — the synchronisation that
+// makes snapshots always terminate. It is the tail of every Tick and the
+// whole of an on-demand iteration (node.OnDemand) right after Write or
+// Snapshot kicked the loop.
+func (nd *Node) ServePending() {
 	nd.mu.Lock()
 	pw := nd.writePending
 	nd.writePending = nil
@@ -154,6 +164,7 @@ func (nd *Node) Tick() {
 	if pw != nil {
 		pw.err = nd.baseWrite(pw.val)
 		close(pw.done)
+		nd.rt.Wake()
 	}
 
 	for {
@@ -305,6 +316,9 @@ func (nd *Node) rbDeliver(inner *wire.Message) {
 			nd.repSnap[k] = inner.Saves[0].Result // delivered results are immutable: adopt
 		}
 		nd.mu.Unlock()
+		if int(k.Src) == nd.id {
+			nd.rt.Wake() // Snapshot is waiting for exactly this
+		}
 	}
 }
 

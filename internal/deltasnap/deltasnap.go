@@ -213,6 +213,7 @@ func (nd *Node) Write(v types.Value) error {
 	nd.mu.Lock()
 	nd.writePending = pw
 	nd.mu.Unlock()
+	nd.rt.Kick() // line 79 runs now, not at the next tick
 
 	err := nd.rt.WaitUntil(func() bool {
 		select {
@@ -238,6 +239,7 @@ func (nd *Node) Snapshot() (types.RegVector, error) {
 	nd.sns++
 	nd.pndTsk[nd.id] = pnd{sns: nd.sns}
 	nd.mu.Unlock()
+	nd.rt.Kick() // line 80 picks the task up now, not at the next tick
 
 	var res types.RegVector
 	err := nd.rt.WaitUntil(func() bool {
@@ -252,11 +254,19 @@ func (nd *Node) Snapshot() (types.RegVector, error) {
 	return res.Share(), nil
 }
 
-// Tick is the do-forever loop (lines 73–80): clean stale information,
-// gossip indices, run the pending write, then help every task in Δ.
-// Stale SNAPSHOTack deletion (line 74) is structural, as in Algorithm 1:
-// collectors match the exact in-flight ssn only.
+// Tick is one full iteration of the do-forever loop (lines 73–80): clean
+// stale information and gossip indices (lines 73–78), then run the pending
+// write and help every task in Δ (lines 79–80, ServePending).
 func (nd *Node) Tick() {
+	nd.cleanAndGossip()
+	nd.ServePending()
+}
+
+// cleanAndGossip is lines 73–78, the part of the loop body that recurs
+// every LoopInterval and only then. Stale SNAPSHOTack deletion (line 74)
+// is structural, as in Algorithm 1: collectors match the exact in-flight
+// ssn only.
+func (nd *Node) cleanAndGossip() {
 	type gossipOut struct {
 		entry types.TSValue
 		task  pnd
@@ -304,8 +314,6 @@ func (nd *Node) Tick() {
 			sns: nd.pndTsk[k].sns, vc: nd.pndTsk[k].vc, fnl: nd.pndTsk[k].fnl,
 		}}
 	}
-	pw := nd.writePending
-	nd.writePending = nil
 	nd.mu.Unlock()
 	if pndRepaired {
 		nd.rt.RecordEvent("pndtsk-repair", "own pending-task entry disagreed with sns")
@@ -364,11 +372,22 @@ func (nd *Node) Tick() {
 			return m
 		})
 	}
+}
 
+// ServePending is lines 79–80, the part of the loop body that executes
+// what client operations parked: the tail of every Tick, and the whole of
+// an on-demand iteration (node.OnDemand) right after Write or Snapshot
+// kicked the loop.
+func (nd *Node) ServePending() {
 	// Line 79: serve the pending write first.
+	nd.mu.Lock()
+	pw := nd.writePending
+	nd.writePending = nil
+	nd.mu.Unlock()
 	if pw != nil {
 		pw.err = nd.baseWrite(pw.val)
 		close(pw.done)
+		nd.rt.Wake()
 	}
 
 	// Line 80: help all currently active tasks.
@@ -537,6 +556,7 @@ func (nd *Node) HandleMessage(m *wire.Message) {
 	case wire.TSave:
 		// Lines 95–97: adopt newer task indices/results; echo (k,s) pairs.
 		ack := make([]wire.SaveEntry, 0, len(m.Saves))
+		ownLanded := false
 		nd.mu.Lock()
 		for _, e := range m.Saves {
 			k := int(e.Node)
@@ -547,10 +567,14 @@ func (nd *Node) HandleMessage(m *wire.Message) {
 			if p.sns < e.SNS || (p.sns == e.SNS && p.fnl == nil) {
 				p.sns = e.SNS
 				p.fnl = e.Result // arriving results are immutable: adopt
+				ownLanded = ownLanded || k == nd.id
 			}
 			ack = append(ack, wire.SaveEntry{Node: e.Node, SNS: e.SNS})
 		}
 		nd.mu.Unlock()
+		if ownLanded {
+			nd.rt.Wake() // Snapshot is waiting for exactly this
+		}
 		nd.rt.Send(int(m.From), &wire.Message{Type: wire.TSaveAck, Saves: ack})
 
 	case wire.TGossip:
@@ -567,11 +591,13 @@ func (nd *Node) HandleMessage(m *wire.Message) {
 		if m.SNS > nd.sns {
 			nd.sns = m.SNS
 		}
+		ownLanded := false
 		for _, e := range m.Saves {
 			if int(e.Node) == nd.id && e.Result != nil {
 				p := &nd.pndTsk[nd.id]
 				if p.sns == e.SNS && p.fnl == nil {
 					p.fnl = e.Result
+					ownLanded = true
 				}
 			}
 		}
@@ -579,6 +605,9 @@ func (nd *Node) HandleMessage(m *wire.Message) {
 		ownSNS := nd.sns
 		ownDone := nd.pndTsk[nd.id].fnl != nil
 		nd.mu.Unlock()
+		if ownLanded {
+			nd.rt.Wake()
+		}
 		if nd.acks != nil {
 			// Echo the post-merge own indices so the sender can skip
 			// re-gossiping what this node already holds.

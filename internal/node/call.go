@@ -222,26 +222,8 @@ func (r *Runtime) callObj(obj int32, o CallOpts) ([]*wire.Message, error) {
 	}
 }
 
-// WaitUntil blocks until check() returns true, polling at the loop interval
-// and waking on crash/close. It implements the pseudocode's "wait until"
-// statements. check may take the algorithm lock.
+// WaitUntil is ObjView.WaitUntil on object 0 — the only object a
+// single-object runtime has.
 func (r *Runtime) WaitUntil(check func() bool) error {
-	crashEv, _, err := r.crashSignal()
-	if err != nil {
-		return err
-	}
-	t := r.clk.NewTicker(r.opts.LoopInterval)
-	defer t.Stop()
-	ws := []simclock.Waitable{r.closeEv, crashEv, t}
-	for {
-		if check() {
-			return nil
-		}
-		switch r.clk.Wait(ws...) {
-		case 0:
-			return ErrClosed
-		case 1:
-			return ErrCrashed
-		}
-	}
+	return r.objs[0].view.WaitUntil(check)
 }

@@ -1,16 +1,21 @@
 package node
 
 import (
+	"sync/atomic"
+
 	"selfstabsnap/internal/netsim"
+	"selfstabsnap/internal/simclock"
 	"selfstabsnap/internal/wire"
 )
 
 // ObjView is one hosted object's face of a Runtime: the handle AddObject
 // returns and the algorithms hold as their runtime. It embeds the Runtime,
-// so node-level surface (ID, N, Majority, Counters, WaitUntil, lifecycle,
-// …) promotes unchanged, and overrides exactly the message-producing
-// methods — Send, Broadcast, SendToMany, GossipTo, Call — to stamp the
-// view's object id on every outgoing message. Stamping is what keys the
+// so node-level surface (ID, N, Majority, Counters, lifecycle, …) promotes
+// unchanged, and overrides exactly the message-producing methods — Send,
+// Broadcast, SendToMany, GossipTo, Call — to stamp the view's object id on
+// every outgoing message, plus WaitUntil, which waits on the view's own
+// wake-up (Kick, Wake and WaitUntil are per object: one object's client
+// neither runs nor wakes another's). Stamping is what keys the
 // receiving dispatcher's object table; acks come back carrying the same id
 // (servers reply through their own view of the same object), so quorum
 // calls match only their object's acks.
@@ -22,6 +27,9 @@ import (
 type ObjView struct {
 	*Runtime
 	obj int32
+
+	kicked atomic.Bool     // Kick marks it; the loop's next iteration clears it
+	done   simclock.Signal // Wake sets it; WaitUntil consumes it
 }
 
 // Bind attaches alg to opts.Attach when set (joining an existing
@@ -35,8 +43,7 @@ func Bind(id int, tr netsim.Transport, alg Algorithm, opts Options) *ObjView {
 		}
 		return host.AddObject(alg)
 	}
-	r := NewRuntime(id, tr, alg, opts)
-	return &ObjView{Runtime: r, obj: 0}
+	return NewHost(id, tr, opts).AddObject(alg)
 }
 
 // Obj returns the view's object id within its host runtime.
@@ -51,6 +58,48 @@ func (v *ObjView) stamp(m *wire.Message) *wire.Message {
 		m.Obj = v.obj
 	}
 	return m
+}
+
+// Kick asks the do-forever loop for an on-demand iteration of this object
+// (OnDemand.ServePending) now, instead of leaving the work the caller just
+// parked to the next LoopInterval tick. Sticky and coalescing: kicks that
+// arrive while the loop is busy cost one iteration when it returns.
+func (v *ObjView) Kick() {
+	v.kickCount.Add(1)
+	v.kicked.Store(true)
+	v.kick.Set()
+}
+
+// Wake makes this object's blocked WaitUntil re-evaluate its condition
+// now. The algorithm calls it after a state change a client may be waiting
+// for (a parked write finished, the own task's result landed).
+func (v *ObjView) Wake() { v.done.Set() }
+
+// WaitUntil blocks until check() returns true, implementing the
+// pseudocode's "wait until" statements. check runs once on entry, then
+// after every Wake, and — so that a lost or never-sent wake-up costs at
+// most one LoopInterval, never the operation — on a LoopInterval ticker.
+// It returns ErrCrashed/ErrClosed if the node fails or shuts down
+// meanwhile. check may take the algorithm lock.
+func (v *ObjView) WaitUntil(check func() bool) error {
+	crashEv, _, err := v.crashSignal()
+	if err != nil {
+		return err
+	}
+	t := v.clk.NewTicker(v.opts.LoopInterval)
+	defer t.Stop()
+	ws := []simclock.Waitable{v.closeEv, crashEv, v.done, t}
+	for {
+		if check() {
+			return nil
+		}
+		switch v.clk.Wait(ws...) {
+		case 0:
+			return ErrClosed
+		case 1:
+			return ErrCrashed
+		}
+	}
 }
 
 // Send transmits m to node `to` on this view's object.

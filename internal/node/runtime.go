@@ -1,8 +1,15 @@
 // Package node provides the per-node runtime every algorithm in this
 // repository is built on. It realises the paper's execution model (§2):
 //
-//   - a do-forever loop, driven at a configurable interval, whose body the
-//     algorithm supplies (Tick);
+//   - a do-forever loop whose body the algorithm supplies. It is
+//     event-driven: a full iteration (Tick) runs every LoopInterval, and a
+//     client operation that parks work for the loop kicks it (ObjView.Kick)
+//     so that an on-demand iteration (OnDemand.ServePending) picks the work
+//     up now instead of at the next tick. Asynchronous cycles carry no
+//     wall-clock duration in the paper, so both are legal steps; only the
+//     full iterations gossip and count as cycles (LoopCount), and the
+//     ticker is always served first, so LoopInterval bounds the gap
+//     between two of them however busy the clients keep the loop;
 //   - message arrival events dispatched to the algorithm's handler
 //     (HandleMessage), one at a time per node, mirroring the paper's atomic
 //     steps;
@@ -14,10 +21,13 @@
 //     lifecycle transitions used by the failure experiments.
 //
 // Threading model: one dispatcher goroutine per node delivers messages, one
-// loop goroutine drives ticks, and client operations run on their callers'
-// goroutines. Algorithms guard their state with their own mutex; the runtime
-// never holds it. Ack acceptance predicates run on the dispatcher goroutine
-// and must only touch data captured immutably at call time.
+// loop goroutine runs every iteration (full and on-demand alike, so an
+// algorithm's Tick and ServePending never overlap), and client operations
+// run on their callers' goroutines, blocking in WaitUntil until the
+// algorithm signals their completion (ObjView.Wake). Algorithms guard their
+// state with their own mutex; the runtime never holds it. Ack acceptance
+// predicates run on the dispatcher goroutine and must only touch data
+// captured immutably at call time.
 //
 // With Options.DispatchShards > 1 the single dispatcher is replaced by a
 // router plus a pool of shard workers and a dedicated quorum-ack lane (see
@@ -64,13 +74,28 @@ type Algorithm interface {
 	// HandleMessage processes one arriving message (server side and ack
 	// routing). It must not block indefinitely.
 	HandleMessage(m *wire.Message)
-	// Tick executes one iteration of the do-forever loop.
+	// Tick executes one full iteration of the do-forever loop.
 	Tick()
+}
+
+// OnDemand is implemented by algorithms whose client operations park work
+// for the do-forever loop (Algorithms 2 and 3: the pending write and the
+// snapshot tasks). After ObjView.Kick the loop calls ServePending at once,
+// on the loop goroutine, instead of leaving the work to the next Tick.
+type OnDemand interface {
+	// ServePending runs the part of the loop body that executes parked
+	// client work, and nothing paced by LoopInterval: no gossip, no
+	// retransmission, no cleaning. Tick must serve the same work itself.
+	ServePending()
 }
 
 // Options tunes a Runtime. The zero value gets sensible defaults.
 type Options struct {
-	// LoopInterval is the pause between do-forever iterations (default 2ms).
+	// LoopInterval is the period of the full do-forever iterations
+	// (default 2ms): it paces gossip and the cycle count, and bounds how
+	// long a blocked client goes without re-checking its wait condition
+	// should a wake-up be lost. It does not delay client work, which the
+	// loop serves on demand (see OnDemand).
 	LoopInterval time.Duration
 	// RetxInterval is the retransmission period of unacknowledged quorum
 	// calls (default 5ms).
@@ -170,9 +195,11 @@ type Runtime struct {
 		active atomic.Pointer[[]*call]
 	}
 
-	loopCount  atomic.Int64
-	lastTick   atomic.Int64 // clock nanos at the end of the latest tick
-	tickActive atomic.Bool
+	kick          simclock.Signal // set by ObjView.Kick: run an on-demand iteration now
+	loopCount     atomic.Int64    // full iterations
+	lastTick      atomic.Int64    // clock nanos at the end of the latest full iteration
+	kickCount     atomic.Int64    // ObjView.Kick calls
+	onDemandCount atomic.Int64    // on-demand iterations that served an object
 
 	// Broadcast fast path, resolved once at construction: the transport's
 	// optional SendMany implementation (nil if absent) and the precomputed
@@ -189,11 +216,14 @@ type Runtime struct {
 	ackQ   *mailbox.Queue[*wire.Message]
 }
 
-// objSlot is one hosted object: its algorithm and the algorithm's optional
-// Router, resolved once at registration.
+// objSlot is one hosted object: its algorithm, the algorithm's optional
+// Router and OnDemand, resolved once at registration, and the view that
+// carries the object's wake-up state.
 type objSlot struct {
-	alg    Algorithm
-	router Router
+	alg      Algorithm
+	router   Router
+	onDemand OnDemand
+	view     *ObjView
 }
 
 // NewRuntime creates a runtime for node id over tr running alg as object 0.
@@ -223,6 +253,7 @@ func NewHost(id int, tr netsim.Transport, opts Options) *Runtime {
 		abortEv: opts.Clock.NewEvent(),
 		closeEv: opts.Clock.NewEvent(),
 		wg:      opts.Clock.NewGroup(),
+		kick:    opts.Clock.NewSignal(),
 	}
 	r.collector.calls = make(map[uint64]*call)
 	r.many, _ = tr.(netsim.ManySender)
@@ -248,8 +279,10 @@ func (r *Runtime) AddObject(alg Algorithm) *ObjView {
 		panic(fmt.Sprintf("node: more than MaxObjects=%d objects", MaxObjects))
 	}
 	router, _ := alg.(Router)
-	r.objs = append(r.objs, objSlot{alg: alg, router: router})
-	return &ObjView{Runtime: r, obj: int32(len(r.objs) - 1)}
+	onDemand, _ := alg.(OnDemand)
+	v := &ObjView{Runtime: r, obj: int32(len(r.objs)), done: r.clk.NewSignal()}
+	r.objs = append(r.objs, objSlot{alg: alg, router: router, onDemand: onDemand, view: v})
+	return v
 }
 
 // Objects returns the number of hosted algorithm instances.
@@ -281,11 +314,22 @@ func (r *Runtime) N() int { return r.n }
 // Majority returns the quorum size ⌊n/2⌋+1.
 func (r *Runtime) Majority() int { return r.n/2 + 1 }
 
-// LoopCount returns the number of completed do-forever iterations; recovery
-// experiments use it to measure asynchronous cycles.
+// LoopCount returns the number of completed full do-forever iterations —
+// the ones that clean, gossip and recur every LoopInterval; recovery
+// experiments use it to measure asynchronous cycles. On-demand iterations
+// are not counted: they do a subset of a full iteration's work, so counting
+// them would only shorten the cycle.
 func (r *Runtime) LoopCount() int64 { return r.loopCount.Load() }
 
-// LastTick returns when the latest do-forever iteration completed (the
+// LoopKicks returns how many times a client operation kicked the loop.
+func (r *Runtime) LoopKicks() int64 { return r.kickCount.Load() }
+
+// OnDemandIterations returns how many on-demand iterations served at least
+// one kicked object. It trails LoopKicks by the kicks a full iteration
+// served first and by those that coalesced into one wake-up.
+func (r *Runtime) OnDemandIterations() int64 { return r.onDemandCount.Load() }
+
+// LastTick returns when the latest full do-forever iteration completed (the
 // zero time before the first one) — the liveness signal /statusz reports.
 func (r *Runtime) LastTick() time.Time {
 	ns := r.lastTick.Load()
@@ -383,24 +427,44 @@ func (r *Runtime) loop() {
 	defer r.wg.Done()
 	t := r.clk.NewTicker(r.opts.LoopInterval)
 	defer t.Stop()
-	ws := []simclock.Waitable{r.closeEv, t}
+	ws := []simclock.Waitable{r.closeEv, t, r.kick}
 	for {
-		if r.clk.Wait(ws...) == 0 {
+		ready := r.clk.Wait(ws...)
+		if ready == 0 {
 			return
 		}
+		// The ticker goes first whenever both are ready (the real clock's
+		// Wait picks among ready waitables at random), so clients that keep
+		// the loop kicked cannot starve the full iteration.
+		full := ready == 1 || r.clk.Poll(t)
 		if r.Crashed() {
 			continue
 		}
-		r.tickActive.Store(true)
-		// One do-forever iteration advances every hosted object: the
-		// paper's loop, sequentially multiplexed. (Single-object runtimes
-		// take the identical code path over a one-entry table.)
+		// A full iteration advances every hosted object: the paper's loop,
+		// sequentially multiplexed (single-object runtimes take the
+		// identical code path over a one-entry table); Tick serves parked
+		// work too, so it absorbs a kick. An on-demand iteration runs only
+		// the objects that were kicked, and only the work their clients
+		// parked.
+		served := false
 		for i := range r.objs {
-			r.objs[i].alg.Tick()
+			s := &r.objs[i]
+			kicked := s.view.kicked.Swap(false)
+			switch {
+			case full:
+				s.alg.Tick()
+			case kicked && s.onDemand != nil:
+				s.onDemand.ServePending()
+				served = true
+			}
 		}
-		r.tickActive.Store(false)
-		r.loopCount.Add(1)
-		r.lastTick.Store(r.clk.Now().UnixNano())
+		switch {
+		case full:
+			r.loopCount.Add(1)
+			r.lastTick.Store(r.clk.Now().UnixNano())
+		case served:
+			r.onDemandCount.Add(1)
+		}
 	}
 }
 

@@ -164,7 +164,14 @@ func (r *RB) Tick() {
 	}
 }
 
+// transmit sends env to every peer not in skip. A stored envelope is
+// re-sent from the client goroutine (Broadcast), the loop goroutine (Tick)
+// and the dispatcher (Handle's relay), possibly at once, and the senders
+// below write to what they are handed (node.ObjView stamps its object id),
+// so each round sends a private shallow copy and the stored envelope is
+// never written after it is built.
 func (r *RB) transmit(env *wire.Message, skip map[int32]struct{}) {
+	env = env.ShallowClone()
 	if r.sendMany != nil {
 		to := make([]int, 0, r.n-1)
 		for k := 0; k < r.n; k++ {

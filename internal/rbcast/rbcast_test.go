@@ -173,3 +173,40 @@ func TestConcurrentBroadcasters(t *testing.T) {
 		}
 	}
 }
+
+// TestResendsNeverWriteTheStoredEnvelope drives the three goroutines that
+// re-send a pending broadcast — the client (Broadcast), the do-forever loop
+// (Tick) and the dispatcher (Handle's relay) — at once, through senders
+// that write to the message they are handed the way node.ObjView stamps its
+// object id. Under -race it fails if any two sends share an envelope.
+func TestResendsNeverWriteTheStoredEnvelope(t *testing.T) {
+	stamp := func(m *wire.Message) { m.Obj = 1 }
+	rb := New(0, 3, func(to int, m *wire.Message) { stamp(m) }, func(*wire.Message) {})
+	rb.UseFanout(func(to []int, m *wire.Message) { stamp(m) })
+
+	const rounds = 200
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			rb.Broadcast(&wire.Message{Type: wire.TSnap, TaskSN: int64(i)})
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			rb.Tick()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			rb.Handle(&wire.Message{
+				Type: wire.TRBCast, From: 1, Src: 1, Tag: uint64(i + 1),
+				Inner: &wire.Message{Type: wire.TSnap, Src: 1, TaskSN: int64(i)},
+			})
+		}
+	}()
+	wg.Wait()
+}

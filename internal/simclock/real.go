@@ -148,6 +148,15 @@ func wake(w Waitable) chan struct{} {
 	}
 }
 
+func (*realClock) Poll(w Waitable) bool {
+	select {
+	case <-wake(w):
+		return true
+	default:
+		return false
+	}
+}
+
 // Wait is a hand-rolled select over up to five wake channels. reflect.Select
 // would handle any arity but allocates; the repo's maximum arity is five
 // (node.Call waits on close, crash, ack-notify, the retransmission ticker

@@ -118,8 +118,13 @@ type Clock interface {
 	// Wait blocks until one of ws is ready, consumes that readiness
 	// (Events stay fired) and returns its index. With several ready, the
 	// virtual clock deterministically picks the lowest index; the real
-	// clock picks like a select statement. At most 4 waitables.
+	// clock picks like a select statement. At most 5 waitables.
 	Wait(ws ...Waitable) int
+	// Poll is the non-blocking Wait over one waitable: it reports whether
+	// w is ready and, if so, consumes that readiness (Events stay fired).
+	// It is how a caller of the real clock's Wait gives one waitable
+	// priority over the others.
+	Poll(w Waitable) bool
 	// NewGroup returns a Group (a clock-aware sync.WaitGroup).
 	NewGroup() *Group
 	// IsVirtual reports whether this is a virtual (simulated) clock.

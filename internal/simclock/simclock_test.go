@@ -300,6 +300,29 @@ func TestVirtualWaitPrefersLowestIndex(t *testing.T) {
 	})
 }
 
+// TestPollConsumesWithoutBlocking pins Poll on both clocks: false on an
+// unready waitable, true exactly once per Signal.Set, true forever on a
+// fired Event.
+func TestPollConsumesWithoutBlocking(t *testing.T) {
+	check := func(c Clock) {
+		sig, ev := c.NewSignal(), c.NewEvent()
+		if c.Poll(sig) || c.Poll(ev) {
+			t.Error("Poll reports an unready waitable ready")
+		}
+		sig.Set()
+		ev.Fire()
+		if !c.Poll(sig) || c.Poll(sig) {
+			t.Error("Poll must consume a set Signal exactly once")
+		}
+		if !c.Poll(ev) || !c.Poll(ev) {
+			t.Error("a fired Event must stay ready")
+		}
+	}
+	check(Real())
+	v := NewVirtual()
+	v.Run("root", func() { check(v) })
+}
+
 func TestVirtualAfterFuncStop(t *testing.T) {
 	v := NewVirtual()
 	ran := false

@@ -298,6 +298,19 @@ func (v *Virtual) Wait(ws ...Waitable) int {
 	}
 }
 
+// Poll consumes w's readiness if it is ready now. It never parks, so —
+// unlike Wait — it is also legal from outside a task.
+func (v *Virtual) Poll(w Waitable) bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	s := v.state(w)
+	if !s.consumable() {
+		return false
+	}
+	s.consume()
+	return true
+}
+
 // ---- waitables ----
 
 // vwstate is the shared core of every virtual waitable: a consumable flag

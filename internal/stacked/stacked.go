@@ -112,13 +112,15 @@ func (nd *Node) collect() (types.RegVector, error) {
 	view := nd.reg.Share()
 	nd.mu.Unlock()
 
-	tag = nd.tag.Add(1)
+	// Its own variable, not tag reassigned: the dispatcher may still be
+	// inside phase 1's Accept, which reads tag, after that Call returned.
+	wbTag := nd.tag.Add(1)
 	_, err = nd.rt.Call(node.CallOpts{
 		Build: func() *wire.Message {
-			return &wire.Message{Type: wire.TWriteBack, Reg: view, Tag: tag}
+			return &wire.Message{Type: wire.TWriteBack, Reg: view, Tag: wbTag}
 		},
 		Accept: func(m *wire.Message) bool {
-			return m.Type == wire.TWriteBackAck && m.Tag == tag
+			return m.Type == wire.TWriteBackAck && m.Tag == wbTag
 		},
 	})
 	if err != nil {

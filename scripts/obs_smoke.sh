@@ -6,8 +6,10 @@
 #
 # Checks:
 #   1. /metrics parses as Prometheus text (every sample line is
-#      `name[{labels}] value`) and contains the per-type message counters;
-#   2. /statusz is JSON carrying the node id and algorithm;
+#      `name[{labels}] value`) and contains the per-type message counters
+#      and the do-forever loop's counters; the writer's operations kicked
+#      the loop (the cluster runs Algorithm 3, whose clients go through it);
+#   2. /statusz is JSON carrying the node id, algorithm and loop counters;
 #   3. /debug/pprof/ answers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,7 +32,7 @@ go build -o "$WORK/tcpnode" ./cmd/tcpnode
 
 echo "== starting 3-node cluster on $PEERS"
 for i in 0 1 2; do
-  args=(-id "$i" -peers "$PEERS" -obs "127.0.0.1:$((OBS_BASE+i))" -snapshot-every 500ms)
+  args=(-id "$i" -alg ss-delta -peers "$PEERS" -obs "127.0.0.1:$((OBS_BASE+i))" -snapshot-every 500ms)
   if [ "$i" = 0 ]; then
     args+=(-write smoke -interval 200ms)
   fi
@@ -65,15 +67,26 @@ for series in \
   'selfstabsnap_messages_all_total' \
   'selfstabsnap_write_latency_seconds_count' \
   'selfstabsnap_loop_iterations_total' \
+  'selfstabsnap_loop_kicks_total' \
+  'selfstabsnap_loop_on_demand_iterations_total' \
   'go_goroutines'; do
   grep -qF "$series" "$WORK/metrics.txt" || fail "series $series missing from /metrics"
+done
+
+# Node 0 has been writing for two seconds: its loop must have been kicked
+# and must have run iterations on demand.
+for series in selfstabsnap_loop_kicks_total selfstabsnap_loop_on_demand_iterations_total; do
+  awk -v s="$series" '$1 == s && $2 > 0 { ok=1 } END { exit !ok }' "$WORK/metrics.txt" \
+    || fail "$series is 0 on the writing node"
 done
 
 echo "== scraping /statusz"
 curl -sf "http://127.0.0.1:$OBS_BASE/statusz" >"$WORK/status.json" || fail "/statusz unreachable"
 head -c1 "$WORK/status.json" | grep -q '{' || fail "/statusz does not start with '{'"
-grep -q '"algorithm": "ss-nonblocking"' "$WORK/status.json" || fail "statusz missing algorithm"
-grep -q '"loop_count"' "$WORK/status.json" || fail "statusz missing loop_count"
+grep -q '"algorithm": "ss-delta"' "$WORK/status.json" || fail "statusz missing algorithm"
+for field in loop_count loop_kicks_total loop_on_demand_iterations_total; do
+  grep -q "\"$field\"" "$WORK/status.json" || fail "statusz missing $field"
+done
 
 echo "== checking pprof"
 curl -sf "http://127.0.0.1:$OBS_BASE/debug/pprof/" >/dev/null || fail "pprof index unreachable"
