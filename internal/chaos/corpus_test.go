@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"strconv"
@@ -34,13 +35,13 @@ type corpusEntry struct {
 	Name       string  `json:"name"`
 	Alg        string  `json:"alg"`
 	N          int     `json:"n"`
-	Delta      int64   `json:"delta"`
+	Delta      int64   `json:"delta,omitempty"`
 	Seed       int64   `json:"seed"`
-	Crash      float64 `json:"crash"`
-	Partition  float64 `json:"partition"`
-	AckCorrupt float64 `json:"ack_corrupt"`
-	Corrupt    bool    `json:"corrupt"`
-	Hostile    bool    `json:"hostile"`
+	Crash      float64 `json:"crash,omitempty"`
+	Partition  float64 `json:"partition,omitempty"`
+	AckCorrupt float64 `json:"ack_corrupt,omitempty"`
+	Corrupt    bool    `json:"corrupt,omitempty"`
+	Hostile    bool    `json:"hostile,omitempty"`
 	Shards     int     `json:"shards,omitempty"`  // dispatch shards (0 = classic single dispatcher)
 	Objects    int     `json:"objects,omitempty"` // hosted snapshot objects per node (0 = 1)
 	DurationMS int64   `json:"duration_ms"`
@@ -63,6 +64,11 @@ type corpusEntry struct {
 	PinCrash     bool  `json:"pin_crash,omitempty"`     // node 0 down for the whole checked phase
 	AbortReset   bool  `json:"abort_reset,omitempty"`   // abort (not defer) ops during a reset
 	ExpectResets bool  `json:"expect_resets,omitempty"` // fail unless ≥1 reset committed
+
+	// Pinned digests of the run (Result.TraceHash / Result.HistoryHash, hex).
+	// TestSeedCorpus fails when a run no longer reproduces them.
+	TraceHash   string `json:"trace_hash,omitempty"`
+	HistoryHash string `json:"history_hash,omitempty"`
 }
 
 var corpusAlgorithms = map[string]core.Algorithm{
@@ -90,6 +96,7 @@ func (e corpusEntry) config() (Config, error) {
 		DispatchShards: e.Shards,
 		Objects:        e.Objects,
 		Virtual:        true,
+		Hash:           true,
 	}
 	if s := chaosShards(); s > 0 {
 		cfg.DispatchShards = s
@@ -123,11 +130,23 @@ func (e corpusEntry) config() (Config, error) {
 	return cfg, nil
 }
 
+const corpusPath = "testdata/corpus.json"
+
+// updateCorpus re-pins the corpus digests: `go test ./internal/chaos -run
+// TestSeedCorpus -update` rewrites every entry's trace_hash/history_hash
+// with what the run produced (docs/TESTING.md).
+var updateCorpus = flag.Bool("update", false, "rewrite the pinned digests in "+corpusPath)
+
 // TestSeedCorpus replays every stored regression seed under virtual time.
 // The whole corpus runs even in -short mode — that is the point: virtual
 // time makes a dozen full chaos schedules cheap enough to be PR-blocking.
+// Each run must reproduce its pinned trace and history digests, which makes
+// the corpus a byte-identity check on the whole execution: a refactor that
+// claims to change nothing must leave every digest as it was. Sharded
+// dispatch schedules differently, so the CHAOS_SHARDS leg checks the
+// invariants only.
 func TestSeedCorpus(t *testing.T) {
-	raw, err := os.ReadFile("testdata/corpus.json")
+	raw, err := os.ReadFile(corpusPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +157,28 @@ func TestSeedCorpus(t *testing.T) {
 	if len(corpus) == 0 {
 		t.Fatal("corpus is empty")
 	}
+	checkDigests := chaosShards() == 0
+	if *updateCorpus && !checkDigests {
+		t.Fatal("-update needs CHAOS_SHARDS unset: the pinned digests are the unsharded runs'")
+	}
+	if *updateCorpus {
+		// Cleanup runs once every parallel subtest below has finished.
+		t.Cleanup(func() {
+			if t.Failed() {
+				return
+			}
+			out, err := json.MarshalIndent(corpus, "", " ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(corpusPath, append(out, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 	seen := map[string]bool{}
-	for _, e := range corpus {
-		e := e
+	for i := range corpus {
+		e := &corpus[i]
 		if e.Name == "" || seen[e.Name] {
 			t.Fatalf("corpus entries need unique names, got %q twice", e.Name)
 		}
@@ -164,6 +202,14 @@ func TestSeedCorpus(t *testing.T) {
 			}
 			if e.ExpectResets && res.Resets == 0 {
 				t.Errorf("expected ≥1 committed global reset: %v", res)
+			}
+			trace, hist := fmt.Sprintf("%#016x", res.TraceHash), fmt.Sprintf("%#016x", res.HistoryHash)
+			switch {
+			case *updateCorpus:
+				e.TraceHash, e.HistoryHash = trace, hist
+			case checkDigests && (trace != e.TraceHash || hist != e.HistoryHash):
+				t.Errorf("digests moved: trace %s (pinned %s), history %s (pinned %s); re-pin with -update if intended",
+					trace, e.TraceHash, hist, e.HistoryHash)
 			}
 		})
 	}
