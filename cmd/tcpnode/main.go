@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"selfstabsnap/internal/deltasnap"
+	"selfstabsnap/internal/kernel"
 	"selfstabsnap/internal/metrics"
 	"selfstabsnap/internal/node"
 	"selfstabsnap/internal/nonblocking"
@@ -112,13 +113,13 @@ func main() {
 		Start()
 		Close()
 		Runtime() *node.Runtime
+		StateSummary() kernel.View
 	}
 
 	// Object 0 builds the host runtime; the rest attach to it, multiplexing
 	// every object over the one transport and dispatcher. Start is deferred
 	// until the whole table is attached (idempotent across instances).
 	objs := make([]snapObj, *objects)
-	registersOf := make([]func() []regSummary, *objects)
 	var deltaNode *deltasnap.Node // object 0's δ node; the tuner targets it
 	for o := 0; o < *objects; o++ {
 		ropts := opts
@@ -127,16 +128,13 @@ func main() {
 		}
 		switch strings.ToLower(*algName) {
 		case "ss-nonblocking":
-			nd := nonblocking.New(*id, tr, nonblocking.Config{SelfStabilizing: true, Runtime: ropts})
-			objs[o] = nd
-			registersOf[o] = func() []regSummary { return summarize(nd.StateSummary().Reg) }
+			objs[o] = nonblocking.New(*id, tr, nonblocking.Config{SelfStabilizing: true, Runtime: ropts})
 		case "ss-delta":
 			nd := deltasnap.New(*id, tr, deltasnap.Config{Delta: *delta, Runtime: ropts})
 			objs[o] = nd
 			if o == 0 {
 				deltaNode = nd
 			}
-			registersOf[o] = func() []regSummary { return summarize(nd.StateSummary().Reg) }
 		default:
 			fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algName)
 			os.Exit(2)
@@ -146,7 +144,7 @@ func main() {
 		o.Start()
 	}
 	obj := objs[0]
-	registers := registersOf[0]
+	registers := func(o int) []regSummary { return summarize(objs[o].StateSummary().Reg) }
 	defer obj.Close()
 
 	var writeLat, snapLat metrics.LatencyRecorder
@@ -203,7 +201,7 @@ func main() {
 				fmt.Fprintf(w, "# TYPE selfstabsnap_object_max_ts gauge\n")
 				for o := 0; o < len(objs) && o < obsObjectCap; o++ {
 					var maxTS int64
-					for _, r := range registersOf[o]() {
+					for _, r := range registers(o) {
 						if r.TS > maxTS {
 							maxTS = r.TS
 						}
@@ -218,7 +216,7 @@ func main() {
 				// Bounded like the Prometheus series: the first obsObjectCap
 				// objects in full, the count telling the rest of the story.
 				for o := 0; o < len(objs) && o < obsObjectCap; o++ {
-					perObject = append(perObject, objStatus{Obj: o, Registers: registersOf[o]()})
+					perObject = append(perObject, objStatus{Obj: o, Registers: registers(o)})
 				}
 			}
 			shardDepths, ackDepth := obj.Runtime().DispatchDepths()
@@ -255,7 +253,7 @@ func main() {
 				OnDemand:    obj.Runtime().OnDemandIterations(),
 				LastTick:    obj.Runtime().LastTick(),
 				Delta:       deltaValue(),
-				Registers:   registers(),
+				Registers:   registers(0),
 				PerObject:   perObject,
 				ShardDepths: shardDepths,
 				AckDepth:    ackDepth,

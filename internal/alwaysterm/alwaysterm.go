@@ -10,13 +10,17 @@
 // task handled at a time. Results are disseminated with a reliable
 // broadcast of END(source, sn, value) and remembered forever in the
 // unbounded repSnap table (bounded memory is exactly what the
-// self-stabilizing Algorithm 3 in package deltasnap adds).
+// self-stabilizing Algorithm 3 in package deltasnap adds). Its register
+// core — the write, the merge, the WRITE and SNAPSHOT server — is
+// Algorithm 1's without the self-stabilizing additions: the kernel's Shell
+// in baseline mode.
 package alwaysterm
 
 import (
 	"sort"
 	"sync"
 
+	"selfstabsnap/internal/kernel"
 	"selfstabsnap/internal/netsim"
 	"selfstabsnap/internal/node"
 	"selfstabsnap/internal/rbcast"
@@ -35,83 +39,38 @@ type TaskKey struct {
 	SN  int64
 }
 
-type pendingWrite struct {
-	val  types.Value
-	done chan struct{}
-	err  error
-}
-
 // Node is one participant of Algorithm 2.
 type Node struct {
-	rt  *node.ObjView
-	rb  *rbcast.RB
-	cfg Config
-	id  int
-	n   int
+	kernel.Shell
+	rt *node.ObjView
+	rb *rbcast.RB
+	id int
 
 	opMu sync.Mutex // serialises this node's client operations
 
-	mu           sync.Mutex
-	ts           int64
-	ssn          int64
-	sns          int64
-	reg          types.RegVector
-	writePending *pendingWrite
-	repSnap      map[TaskKey]types.RegVector
-	queue        []TaskKey // outstanding snapshot tasks, oldest first
+	mu      sync.Mutex   // guards k, the parked write, repSnap and queue
+	k       kernel.State // ts, ssn, sns, reg
+	repSnap map[TaskKey]types.RegVector
+	queue   []TaskKey // outstanding snapshot tasks, oldest first
 }
 
 // New creates a node with identifier id over transport tr.
 func New(id int, tr netsim.Transport, cfg Config) *Node {
-	nd := &Node{
-		cfg:     cfg,
-		id:      id,
-		n:       tr.N(),
-		reg:     types.NewRegVector(tr.N()),
-		repSnap: make(map[TaskKey]types.RegVector),
-	}
+	nd := &Node{id: id, k: kernel.New(id, tr.N(), false), repSnap: make(map[TaskKey]types.RegVector)}
 	nd.rt = node.Bind(id, tr, nd, cfg.Runtime)
+	nd.Shell = kernel.NewShell(nd.rt, kernel.NewGossip(nd.rt, true), &nd.mu, &nd.k, true)
 	nd.rb = rbcast.New(id, tr.N(), func(to int, m *wire.Message) { nd.rt.Send(to, m) }, nd.rbDeliver)
 	nd.rb.UseFanout(nd.rt.SendToMany) // marshal-once relay on capable transports
 	return nd
 }
 
-// Start launches the node's goroutines.
-func (nd *Node) Start() { nd.rt.Start() }
-
-// Close permanently stops the node.
-func (nd *Node) Close() { nd.rt.Close() }
-
-// Runtime exposes lifecycle controls.
-func (nd *Node) Runtime() *node.Runtime { return nd.rt.Runtime }
-
 // Write performs the preemptible write(v) operation (lines 43–44): the
-// value is parked in writePending and executed by the do-forever loop as a
-// background task; the call returns when that task completes.
+// value is parked and executed by the do-forever loop as a background
+// task; the call returns when that task completes.
 func (nd *Node) Write(v types.Value) error {
 	nd.opMu.Lock()
 	defer nd.opMu.Unlock()
-
-	// Clone the caller's value once at the API boundary; it is immutable
-	// from here on and baseWrite installs it without further copying.
-	pw := &pendingWrite{val: types.Freeze(v.Clone()), done: make(chan struct{})}
-	nd.mu.Lock()
-	nd.writePending = pw
-	nd.mu.Unlock()
-	nd.rt.Kick() // line 38 runs now, not at the next tick
-
-	err := nd.rt.WaitUntil(func() bool {
-		select {
-		case <-pw.done:
-			return true
-		default:
-			return false
-		}
-	})
-	if err != nil {
-		return err
-	}
-	return pw.err
+	return nd.ParkWrite(v)
 }
 
 // Snapshot performs the snapshot() operation (lines 45–47): reliably
@@ -122,8 +81,8 @@ func (nd *Node) Snapshot() (types.RegVector, error) {
 	defer nd.opMu.Unlock()
 
 	nd.mu.Lock()
-	nd.sns++
-	k := TaskKey{Src: int32(nd.id), SN: nd.sns}
+	nd.k.SNS++
+	k := TaskKey{Src: int32(nd.id), SN: nd.k.SNS}
 	nd.mu.Unlock()
 
 	nd.rb.Broadcast(&wire.Message{Type: wire.TSnap, Src: k.Src, TaskSN: k.SN})
@@ -157,15 +116,7 @@ func (nd *Node) Tick() {
 // whole of an on-demand iteration (node.OnDemand) right after Write or
 // Snapshot kicked the loop.
 func (nd *Node) ServePending() {
-	nd.mu.Lock()
-	pw := nd.writePending
-	nd.writePending = nil
-	nd.mu.Unlock()
-	if pw != nil {
-		pw.err = nd.baseWrite(pw.val)
-		close(pw.done)
-		nd.rt.Wake()
-	}
+	nd.ServeParked() // the write is lines 48–51, Algorithm 1's write
 
 	for {
 		nd.mu.Lock()
@@ -199,33 +150,6 @@ func (nd *Node) compactQueueLocked() {
 	nd.queue = keep
 }
 
-// baseWrite is lines 48–51, identical to Algorithm 1's write client side.
-func (nd *Node) baseWrite(v types.Value) error {
-	nd.mu.Lock()
-	nd.ts++
-	nd.reg[nd.id] = types.TSValue{TS: nd.ts, Val: v} // v cloned+frozen in Write
-	lReg := nd.reg.Share()
-	nd.mu.Unlock()
-
-	recs, err := nd.rt.Call(node.CallOpts{
-		Build: func() *wire.Message {
-			return &wire.Message{Type: wire.TWrite, Reg: lReg}
-		},
-		Accept: func(m *wire.Message) bool {
-			return m.Type == wire.TWriteAck && lReg.LessEq(m.Reg)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	nd.mu.Lock()
-	for _, m := range recs {
-		nd.reg.MergeFrom(m.Reg)
-	}
-	nd.mu.Unlock()
-	return nil
-}
-
 // baseSnapshot is lines 52–59: double-collect with a fresh ssn per round;
 // on a quiet round, reliably broadcast END(s, t, prev) so every node —
 // including the task's initiator — stores the result.
@@ -236,9 +160,9 @@ func (nd *Node) baseSnapshot(k TaskKey) error {
 			nd.mu.Unlock()
 			return nil
 		}
-		prev := nd.reg.Share()
-		nd.ssn++
-		ssn := nd.ssn
+		prev := nd.k.Reg.Share()
+		nd.k.SSN++
+		ssn := nd.k.SSN
 		nd.mu.Unlock()
 
 		recs, err := nd.rt.Call(node.CallOpts{
@@ -246,7 +170,7 @@ func (nd *Node) baseSnapshot(k TaskKey) error {
 				// Share, not deep-clone: Build runs once per retransmission
 				// round.
 				nd.mu.Lock()
-				reg := nd.reg.Share()
+				reg := nd.k.Reg.Share()
 				nd.mu.Unlock()
 				return &wire.Message{Type: wire.TSnapshot, Src: k.Src, TaskSN: k.SN, Reg: reg, SSN: ssn}
 			},
@@ -264,10 +188,8 @@ func (nd *Node) baseSnapshot(k TaskKey) error {
 		}
 
 		nd.mu.Lock()
-		for _, m := range recs {
-			nd.reg.MergeFrom(m.Reg)
-		}
-		quiet := nd.reg.Equal(prev)
+		nd.k.Fold(recs)
+		quiet := nd.k.Reg.Equal(prev)
 		done := nd.repSnap[k] != nil
 		nd.mu.Unlock()
 
@@ -331,60 +253,24 @@ func (nd *Node) queuedLocked(k TaskKey) bool {
 	return false
 }
 
-// HandleMessage is the server side (lines 60–66) plus reliable-broadcast
-// plumbing.
+// HandleMessage is the reliable-broadcast plumbing plus the server side
+// (lines 60–66), which is the kernel's.
 func (nd *Node) HandleMessage(m *wire.Message) {
-	if nd.rb.Handle(m) {
-		return
+	if !nd.rb.Handle(m) {
+		nd.Shell.HandleMessage(m)
 	}
-	switch m.Type {
-	case wire.TWrite:
-		nd.mu.Lock()
-		nd.reg.MergeFrom(m.Reg)
-		reply := &wire.Message{Type: wire.TWriteAck, Reg: nd.reg.Share()}
-		nd.mu.Unlock()
-		nd.rt.Send(int(m.From), reply)
-
-	case wire.TSnapshot:
-		nd.mu.Lock()
-		nd.reg.MergeFrom(m.Reg)
-		reply := &wire.Message{
-			Type: wire.TSnapshotAck, Src: m.Src, TaskSN: m.TaskSN,
-			Reg: nd.reg.Share(), SSN: m.SSN,
-		}
-		nd.mu.Unlock()
-		nd.rt.Send(int(m.From), reply)
-	}
-}
-
-// Route implements node.Router for sharded dispatch. TWriteAck and
-// TSnapshotAck go only to the quorum-call collector, so they take the ack
-// lane. TRBCast/TRBAck stay on shard lanes — the reliable-broadcast layer
-// handles them in HandleMessage (it tolerates reordering and duplication,
-// so any stable keying is legal; per-sender keeps each peer's echo stream
-// ordered). Everything else shards by sender (per-register FIFO).
-func (nd *Node) Route(m *wire.Message) (node.Lane, int) {
-	switch m.Type {
-	case wire.TWriteAck, wire.TSnapshotAck:
-		return node.LaneAck, 0
-	}
-	return node.LaneShard, int(m.From)
 }
 
 // State is a copy of the node's principal variables.
 type State struct {
-	TS, SSN, SNS int64
-	Reg          types.RegVector
-	QueueLen     int
-	Results      int
+	kernel.View
+	QueueLen int
+	Results  int
 }
 
 // StateSummary returns a consistent copy of the node's state.
 func (nd *Node) StateSummary() State {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	return State{
-		TS: nd.ts, SSN: nd.ssn, SNS: nd.sns,
-		Reg: nd.reg.Clone(), QueueLen: len(nd.queue), Results: len(nd.repSnap),
-	}
+	return State{View: nd.k.View(), QueueLen: len(nd.queue), Results: len(nd.repSnap)}
 }

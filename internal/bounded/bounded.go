@@ -1,6 +1,7 @@
 // Package bounded implements §5 of the paper: the bounded-counter
-// variation of the self-stabilizing snapshot object. It wraps the
-// Algorithm 1 node (package nonblocking) with:
+// variation of the self-stabilizing snapshot object. It wraps an
+// Algorithm 1 or Algorithm 3 node (packages nonblocking and deltasnap)
+// with:
 //
 //   - overflow detection — a watcher notices any operation index reaching
 //     MAXINT (configurable, so tests can exercise wraparound cheaply);
@@ -17,11 +18,13 @@ package bounded
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"selfstabsnap/internal/deltasnap"
+	"selfstabsnap/internal/kernel"
 	"selfstabsnap/internal/metrics"
 	"selfstabsnap/internal/netsim"
 	"selfstabsnap/internal/node"
@@ -32,33 +35,30 @@ import (
 	"selfstabsnap/internal/wire"
 )
 
-// Inner is the contract a wrapped algorithm must provide: the snapshot
-// object operations plus the reset hooks of §5. Both the paper's
-// Algorithm 1 (package nonblocking) and Algorithm 3 (package deltasnap)
-// satisfy it.
+// Inner is the surface of a kernel-backed self-stabilizing algorithm. The
+// paper's Algorithm 1 (package nonblocking) and Algorithm 3 (package
+// deltasnap) both get it from their embedded kernel.Shell, which documents
+// the methods, plus their own Corrupt. A bounded Node embeds the Inner it
+// wraps, so it is an Inner too.
 type Inner interface {
 	Start()
 	Close()
 	Runtime() *node.Runtime
 	Write(types.Value) error
 	Snapshot() (types.RegVector, error)
-	// MaxIndex reports the largest operation index anywhere in the state.
+	// The §5 hooks: overflow detection, MAXIDX gossip, global reset.
 	MaxIndex() int64
-	// RegSnapshot and MergeReg expose the registers to the MAXIDX gossip.
-	// RegSnapshot returns a shared-structure snapshot (types.RegVector.Share):
-	// the watcher polls it every tick, so a deep copy here would be a
-	// steady-state O(n·ν) cost even when idle. Callers must not mutate
-	// payload bytes.
 	RegSnapshot() types.RegVector
 	MergeReg(types.RegVector)
-	// InstallReset installs the consensus-decided register vector with
-	// every operation index collapsed to its initial value (non-⊥ entries
-	// restart at write index 1, values preserved). All committing nodes
-	// receive the identical vector — that is what consensus decided.
 	InstallReset(types.RegVector)
-	// RestartDetectable restarts the algorithm's program with all
-	// variables re-initialised (the paper's detectable restart).
+	// Fault injection, invariants and restart recovery.
 	RestartDetectable()
+	AdoptSNS(int64)
+	Corrupt(*rand.Rand)
+	CorruptAckTable(*rand.Rand) bool
+	AckStats() kernel.AckStats
+	LocalInvariantHolds() bool
+	StateSummary() kernel.View
 }
 
 // DefaultMaxInt is the production overflow threshold. Tests override it.
@@ -76,19 +76,19 @@ type Config struct {
 	// FullGossip disables the inner algorithm's delta gossip (see
 	// nonblocking.Config.FullGossip).
 	FullGossip bool
-	// Runtime tuning forwarded to the inner Algorithm 1 node.
+	// Runtime tuning forwarded to the inner node.
 	Runtime node.Options
 }
 
-// Node is a bounded-counter self-stabilizing snapshot node.
+// Node is a bounded-counter self-stabilizing snapshot node. It provides
+// the wrapped algorithm's surface, with Write, Snapshot and the lifecycle
+// gated by the reset machinery.
 type Node struct {
-	inner      Inner
-	innerNB    *nonblocking.Node // non-nil iff wrapping Algorithm 1
-	innerDelta *deltasnap.Node   // non-nil iff wrapping Algorithm 3
-	eng        *reset.Engine
-	ft         *fencedTransport
-	cfg        Config
-	id, n      int
+	Inner
+	eng   *reset.Engine
+	ft    *fencedTransport
+	cfg   Config
+	id, n int
 
 	clk simclock.Clock
 
@@ -126,12 +126,11 @@ const maxEvents = 1 << 14
 // target) with identifier id over transport tr.
 func New(id int, tr netsim.Transport, cfg Config) *Node {
 	b := newShell(id, tr, cfg)
-	b.innerNB = nonblocking.New(id, b.ft, nonblocking.Config{
+	b.Inner = nonblocking.New(id, b.ft, nonblocking.Config{
 		SelfStabilizing: true,
 		FullGossip:      cfg.FullGossip,
 		Runtime:         cfg.Runtime,
 	})
-	b.inner = b.innerNB
 	return b
 }
 
@@ -140,12 +139,11 @@ func New(id int, tr netsim.Transport, cfg Config) *Node {
 // algorithm's δ parameter.
 func NewDelta(id int, tr netsim.Transport, delta int64, cfg Config) *Node {
 	b := newShell(id, tr, cfg)
-	b.innerDelta = deltasnap.New(id, b.ft, deltasnap.Config{
+	b.Inner = deltasnap.New(id, b.ft, deltasnap.Config{
 		Delta:      delta,
 		FullGossip: cfg.FullGossip,
 		Runtime:    cfg.Runtime,
 	})
-	b.inner = b.innerDelta
 	return b
 }
 
@@ -182,7 +180,7 @@ func (b *Node) ConsensusEvents() []CnsEvent {
 
 // Start launches the node's goroutines, including the overflow watcher.
 func (b *Node) Start() {
-	b.inner.Start()
+	b.Inner.Start()
 	b.wg.Add(1)
 	b.clk.Go(fmt.Sprintf("bounded%d-watch", b.id), b.watch)
 }
@@ -193,7 +191,7 @@ func (b *Node) Close() {
 	b.gateMu.Lock()
 	b.notifyGateLocked()
 	b.gateMu.Unlock()
-	b.inner.Close()
+	b.Inner.Close()
 	b.wg.Wait()
 }
 
@@ -204,17 +202,6 @@ func (b *Node) notifyGateLocked() {
 	b.gateEv.Fire()
 	b.gateEv = b.clk.NewEvent()
 }
-
-// Runtime exposes lifecycle controls of the inner node.
-func (b *Node) Runtime() *node.Runtime { return b.inner.Runtime() }
-
-// Inner exposes the wrapped Algorithm 1 node, or nil when this node wraps
-// Algorithm 3 (state inspection in tests and the core facade).
-func (b *Node) Inner() *nonblocking.Node { return b.innerNB }
-
-// InnerDelta exposes the wrapped Algorithm 3 node, or nil when this node
-// wraps Algorithm 1.
-func (b *Node) InnerDelta() *deltasnap.Node { return b.innerDelta }
 
 // Epoch returns the current configuration epoch (number of completed
 // global resets since boot).
@@ -243,14 +230,10 @@ func (b *Node) ResetRejects() uint64 { return b.eng.Rejects() }
 // the engine relies on decide-replay from its peers (a majority of which
 // stays up by the fault model) to re-learn the current epoch.
 func (b *Node) RestartDetectable() {
-	b.inner.RestartDetectable()
+	b.Inner.RestartDetectable()
 	b.eng.Restart()
 	b.openGate()
 }
-
-// MergeReg folds an external register view into the wrapped algorithm
-// (SkewedRestart recovery in the core facade).
-func (b *Node) MergeReg(r types.RegVector) { b.inner.MergeReg(r) }
 
 // Write performs a write, subject to the reset admission gate.
 func (b *Node) Write(v types.Value) error {
@@ -258,7 +241,7 @@ func (b *Node) Write(v types.Value) error {
 		return err
 	}
 	defer b.exit()
-	return b.inner.Write(v)
+	return b.Inner.Write(v)
 }
 
 // Snapshot performs a snapshot, subject to the reset admission gate.
@@ -267,7 +250,7 @@ func (b *Node) Snapshot() (types.RegVector, error) {
 		return nil, err
 	}
 	defer b.exit()
-	return b.inner.Snapshot()
+	return b.Inner.Snapshot()
 }
 
 func (b *Node) enter() error {
@@ -342,14 +325,14 @@ func (b *Node) watch() {
 		if b.clk.Wait(ws...) == 0 {
 			return
 		}
-		if b.inner.Runtime().Crashed() {
+		if b.Runtime().Crashed() {
 			continue
 		}
-		if !b.eng.Active() && b.inner.MaxIndex() >= b.cfg.MaxInt {
+		if !b.eng.Active() && b.MaxIndex() >= b.cfg.MaxInt {
 			b.eng.Trigger()
 		}
 		b.syncGate()
-		b.exec(b.eng.OnTick(b.inner.RegSnapshot(), b.frozen()))
+		b.exec(b.eng.OnTick(b.RegSnapshot(), b.frozen()))
 	}
 }
 
@@ -357,10 +340,10 @@ func (b *Node) watch() {
 // transport on the dispatcher goroutine). A crashed node takes no steps,
 // so its reset messages are dropped like any others.
 func (b *Node) handleReset(m *wire.Message) {
-	if b.inner.Runtime().Crashed() {
+	if b.Runtime().Crashed() {
 		return
 	}
-	res := b.eng.OnMessage(m, b.inner.RegSnapshot(), b.frozen())
+	res := b.eng.OnMessage(m, b.RegSnapshot(), b.frozen())
 	// Joining a reset gates admissions eagerly so freezing is prompt.
 	b.syncGate()
 	b.exec(res)
@@ -373,7 +356,7 @@ func (b *Node) exec(res reset.Result) {
 		b.ft.Counters().RecordResetReject()
 	}
 	if res.MergeReg != nil {
-		b.inner.MergeReg(res.MergeReg)
+		b.MergeReg(res.MergeReg)
 	}
 	for _, o := range res.Outputs {
 		if o.To == reset.Broadcast {
@@ -392,12 +375,12 @@ func (b *Node) exec(res reset.Result) {
 		// operations began under the old epoch; letting them keep
 		// retransmitting after the install would stamp pre-reset indices
 		// with the new epoch. Abort them before touching the registers.
-		if n := b.inner.Runtime().AbortInflightCalls(); n > 0 {
+		if n := b.Runtime().AbortInflightCalls(); n > 0 {
 			b.aborted.Add(int64(n))
 		}
-		b.inner.InstallReset(res.Install)
+		b.InstallReset(res.Install)
 		b.resets.Add(1)
-		b.inner.Runtime().RecordEvent("global-reset", "bounded-counter epoch reset committed")
+		b.Runtime().RecordEvent("global-reset", "bounded-counter epoch reset committed")
 		b.openGate()
 	}
 }

@@ -92,7 +92,7 @@ func TestWraparoundResetsAndPreservesValues(t *testing.T) {
 		if nd.Epoch() != 1 {
 			t.Errorf("node %d epoch = %d, want 1", i, nd.Epoch())
 		}
-		st := nd.Inner().StateSummary()
+		st := nd.StateSummary()
 		if st.TS > 2 {
 			t.Errorf("node %d ts = %d after reset, want small", i, st.TS)
 		}

@@ -56,7 +56,7 @@ func TestDeltaWraparoundViaWrites(t *testing.T) {
 	}
 
 	for i, nd := range nodes {
-		st := nd.InnerDelta().StateSummary()
+		st := nd.StateSummary()
 		if st.TS > 2 || st.SNS != 0 {
 			t.Errorf("node %d indices not collapsed: ts=%d sns=%d", i, st.TS, st.SNS)
 		}
@@ -97,7 +97,7 @@ func TestDeltaWraparoundViaSnapshots(t *testing.T) {
 	for nodes[1].Resets() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("snapshot-index overflow never triggered a reset (maxidx=%d)",
-				nodes[1].InnerDelta().MaxIndex())
+				nodes[1].MaxIndex())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -58,7 +58,7 @@ func TestEpochFencingBlocksStaleIndices(t *testing.T) {
 	net.Send(0, 1, evil)
 	time.Sleep(20 * time.Millisecond)
 
-	if got := nodes[1].Inner().MaxIndex(); got >= maxInt {
+	if got := nodes[1].MaxIndex(); got >= maxInt {
 		t.Fatalf("stale-epoch message poisoned the state: MaxIndex=%d", got)
 	}
 	snap, err := nodes[1].Snapshot()
@@ -99,7 +99,7 @@ func TestResetStatsAccessors(t *testing.T) {
 	if nd.ResetActive() {
 		t.Error("fresh node mid-reset")
 	}
-	if nd.Runtime() == nil || nd.Inner() == nil {
+	if nd.Runtime() == nil || nd.Inner == nil {
 		t.Error("nil accessors")
 	}
 }

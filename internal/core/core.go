@@ -21,6 +21,7 @@ import (
 	"selfstabsnap/internal/alwaysterm"
 	"selfstabsnap/internal/bounded"
 	"selfstabsnap/internal/deltasnap"
+	"selfstabsnap/internal/kernel"
 	"selfstabsnap/internal/metrics"
 	"selfstabsnap/internal/netsim"
 	"selfstabsnap/internal/node"
@@ -168,40 +169,23 @@ type Object interface {
 	Snapshot() (types.RegVector, error)
 }
 
-// Corruptible is implemented by the self-stabilizing algorithms: a
-// transient fault overwrites all algorithm state with arbitrary values.
-type Corruptible interface {
-	Corrupt(rng *rand.Rand)
-}
-
-// objInstance is one hosted snapshot object at one node: the algorithm
-// instance plus its fault-injection and invariant hooks.
-type objInstance struct {
-	obj       Object
-	corrupt   func(*rand.Rand)
-	invariant func() bool
-	// state returns (ts, sns, reg, pndSNS) for cross-node invariant checks;
-	// nil for algorithms without a self-stabilization contract.
-	state   func() (int64, int64, types.RegVector, []int64)
-	restart func() // detectable restart; nil if unsupported
-	// mergeReg folds an external register view into the instance — the
-	// recovery half of SkewedRestart; nil if unsupported.
-	mergeReg func(types.RegVector)
-	// adoptSNS raises the instance's snapshot sequence number above every
-	// pending-task entry peers still hold for it (Definition 1(iii)); nil
-	// when the algorithm has no such counter.
-	adoptSNS func(int64)
-	closer   func()
-	// Delta-gossip hooks; nil when the algorithm has no ack table.
-	ackCorrupt func(*rand.Rand)
-	ackStats   func() node.AckStats
+// instance is one hosted snapshot object at one node. The
+// self-stabilizing ones — Algorithms 1 and 3, bare or under the §5
+// wrapper — also provide bounded.Inner, the kernel-backed surface behind
+// fault injection, invariant checks and restart recovery; the cluster finds
+// it by type assertion, never by algorithm.
+type instance interface {
+	Object
+	Start()
+	Close()
+	Runtime() *node.Runtime
 }
 
 // member is one node: the shared host runtime and its object instances
 // (len 1 unless Config.Objects > 1).
 type member struct {
 	rt   *node.Runtime
-	objs []objInstance
+	objs []instance
 }
 
 // Cluster is a running group of nodes implementing one snapshot object.
@@ -266,136 +250,34 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		DispatchShards: cfg.DispatchShards, Clock: clk,
 	}
 	var deltaSetters []func(int64)
-
-	// makeInstance builds one (node, object) algorithm instance without
-	// starting it. rt is the host runtime the instance runs on; for object
-	// 0 ropt.Attach is nil and the instance creates the runtime, further
-	// objects attach to it. start is deferred until every object is
-	// registered — node.Runtime.Start is idempotent, so starting each
-	// instance in order launches the host exactly once.
-	makeInstance := func(i int, ropt node.Options) (objInstance, *node.Runtime, func(), error) {
-		switch cfg.Algorithm {
-		case NonBlockingDG, NonBlockingSS:
-			nd := nonblocking.New(i, net, nonblocking.Config{
-				SelfStabilizing: cfg.Algorithm == NonBlockingSS,
-				FullGossip:      cfg.FullGossip,
-				Runtime:         ropt,
-			})
-			inst := objInstance{obj: nd, invariant: nd.LocalInvariantHolds, closer: nd.Close}
-			if cfg.Algorithm == NonBlockingSS {
-				inst.corrupt = nd.Corrupt
-				inst.restart = nd.RestartDetectable
-				inst.mergeReg = nd.MergeReg
-				inst.state = func() (int64, int64, types.RegVector, []int64) {
-					st := nd.StateSummary()
-					return st.TS, 0, st.Reg, nil
-				}
-				if !cfg.FullGossip {
-					inst.ackCorrupt = nd.CorruptAckTable
-					inst.ackStats = nd.AckStats
-				}
-			}
-			return inst, nd.Runtime(), nd.Start, nil
-		case AlwaysTerminatingDG:
-			nd := alwaysterm.New(i, net, alwaysterm.Config{Runtime: ropt})
-			return objInstance{obj: nd, closer: nd.Close}, nd.Runtime(), nd.Start, nil
-		case DeltaSS:
-			nd := deltasnap.New(i, net, deltasnap.Config{Delta: cfg.Delta, FullGossip: cfg.FullGossip, Runtime: ropt})
-			inst := objInstance{obj: nd, corrupt: nd.Corrupt, invariant: nd.LocalInvariantHolds, closer: nd.Close}
-			inst.restart = nd.RestartDetectable
-			inst.mergeReg = nd.MergeReg
-			inst.adoptSNS = nd.AdoptSNS
-			inst.state = func() (int64, int64, types.RegVector, []int64) {
-				st := nd.StateSummary()
-				return st.TS, st.SNS, st.Reg, st.PndSNS
-			}
-			if !cfg.FullGossip {
-				inst.ackCorrupt = nd.CorruptAckTable
-				inst.ackStats = nd.AckStats
-			}
-			deltaSetters = append(deltaSetters, nd.SetDelta)
-			return inst, nd.Runtime(), nd.Start, nil
-		case StackedABD:
-			nd := stacked.New(i, net, stacked.Config{Runtime: ropt})
-			return objInstance{obj: nd, closer: nd.Close}, nd.Runtime(), nd.Start, nil
-		case BoundedSS:
-			nd := bounded.New(i, net, bounded.Config{
-				MaxInt:           cfg.MaxInt,
-				AbortDuringReset: cfg.AbortDuringReset,
-				FullGossip:       cfg.FullGossip,
-				Runtime:          ropt,
-			})
-			inst := objInstance{
-				obj:       nd,
-				corrupt:   nd.Inner().Corrupt,
-				invariant: nd.Inner().LocalInvariantHolds,
-				closer:    nd.Close,
-			}
-			inst.restart = nd.RestartDetectable
-			inst.mergeReg = nd.MergeReg
-			inst.state = func() (int64, int64, types.RegVector, []int64) {
-				st := nd.Inner().StateSummary()
-				return st.TS, 0, st.Reg, nil
-			}
-			if !cfg.FullGossip {
-				inst.ackCorrupt = nd.Inner().CorruptAckTable
-				inst.ackStats = nd.Inner().AckStats
-			}
-			return inst, nd.Runtime(), nd.Start, nil
-		case BoundedDeltaSS:
-			nd := bounded.NewDelta(i, net, cfg.Delta, bounded.Config{
-				MaxInt:           cfg.MaxInt,
-				AbortDuringReset: cfg.AbortDuringReset,
-				FullGossip:       cfg.FullGossip,
-				Runtime:          ropt,
-			})
-			inst := objInstance{
-				obj:       nd,
-				corrupt:   nd.InnerDelta().Corrupt,
-				invariant: nd.InnerDelta().LocalInvariantHolds,
-				closer:    nd.Close,
-			}
-			inst.restart = nd.RestartDetectable
-			inst.mergeReg = nd.MergeReg
-			inst.adoptSNS = nd.InnerDelta().AdoptSNS
-			inst.state = func() (int64, int64, types.RegVector, []int64) {
-				st := nd.InnerDelta().StateSummary()
-				return st.TS, st.SNS, st.Reg, st.PndSNS
-			}
-			if !cfg.FullGossip {
-				inst.ackCorrupt = nd.InnerDelta().CorruptAckTable
-				inst.ackStats = nd.InnerDelta().AckStats
-			}
-			deltaSetters = append(deltaSetters, nd.InnerDelta().SetDelta)
-			return inst, nd.Runtime(), nd.Start, nil
-		default:
-			return objInstance{}, nil, nil, ErrUnknownAlg
-		}
-	}
-
 	for i := 0; i < cfg.N; i++ {
-		m := member{objs: make([]objInstance, 0, cfg.Objects)}
-		starters := make([]func(), 0, cfg.Objects)
+		m := member{objs: make([]instance, 0, cfg.Objects)}
 		for o := 0; o < cfg.Objects; o++ {
+			// Object 0 creates the host runtime; further objects attach to
+			// it.
 			ropt := ropts
 			if o > 0 {
 				ropt.Attach = m.rt
 			}
-			inst, rt, start, err := makeInstance(i, ropt)
+			inst, setDelta, err := newInstance(cfg, i, net, ropt)
 			if err != nil {
 				net.Close()
 				return nil, err
 			}
 			if o == 0 {
-				m.rt = rt
+				m.rt = inst.Runtime()
 			}
 			m.objs = append(m.objs, inst)
-			starters = append(starters, start)
+			if setDelta != nil {
+				deltaSetters = append(deltaSetters, setDelta)
+			}
 		}
 		// Start only after the node's whole object table is registered:
 		// the table is immutable once the dispatchers run.
-		for _, start := range starters {
-			start()
+		// node.Runtime.Start is idempotent, so starting each instance in
+		// order launches the host exactly once.
+		for _, inst := range m.objs {
+			inst.Start()
 		}
 		c.members = append(c.members, m)
 	}
@@ -426,6 +308,43 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
+// newInstance builds node i's instance of cfg.Algorithm without starting
+// it, plus Algorithm 3's live δ setter (nil for the other algorithms).
+func newInstance(cfg Config, i int, net netsim.Transport, ropt node.Options) (instance, func(int64), error) {
+	bcfg := bounded.Config{MaxInt: cfg.MaxInt, AbortDuringReset: cfg.AbortDuringReset, FullGossip: cfg.FullGossip, Runtime: ropt}
+	switch cfg.Algorithm {
+	case NonBlockingDG:
+		return nonblocking.New(i, net, nonblocking.Config{Runtime: ropt}), nil, nil
+	case NonBlockingSS:
+		return nonblocking.New(i, net, nonblocking.Config{SelfStabilizing: true, FullGossip: cfg.FullGossip, Runtime: ropt}), nil, nil
+	case AlwaysTerminatingDG:
+		return alwaysterm.New(i, net, alwaysterm.Config{Runtime: ropt}), nil, nil
+	case DeltaSS:
+		nd := deltasnap.New(i, net, deltasnap.Config{Delta: cfg.Delta, FullGossip: cfg.FullGossip, Runtime: ropt})
+		return nd, nd.SetDelta, nil
+	case StackedABD:
+		return stacked.New(i, net, stacked.Config{Runtime: ropt}), nil, nil
+	case BoundedSS:
+		return bounded.New(i, net, bcfg), nil, nil
+	case BoundedDeltaSS:
+		nd := bounded.NewDelta(i, net, cfg.Delta, bcfg)
+		return nd, nd.Inner.(*deltasnap.Node).SetDelta, nil
+	}
+	return nil, nil, ErrUnknownAlg
+}
+
+// stabilizing returns node id's object o as the kernel-backed
+// self-stabilizing surface, or nil when its algorithm has none. The
+// Delporte-Gallet baseline of Algorithm 1 runs on the same kernel but has
+// no self-stabilization contract to inject faults into or check.
+func (c *Cluster) stabilizing(id, o int) bounded.Inner {
+	if !c.cfg.Algorithm.SelfStabilizing() {
+		return nil
+	}
+	s, _ := c.members[id].objs[o].(bounded.Inner)
+	return s
+}
+
 // DeltaTuner exposes the adaptive-δ controller, or nil when
 // Config.AdaptiveDelta is off (or the algorithm has no δ).
 func (c *Cluster) DeltaTuner() *deltasnap.Tuner { return c.tuner }
@@ -437,25 +356,24 @@ func (c *Cluster) CorruptAckTable(id int) error {
 	if id < 0 || id >= c.cfg.N {
 		return ErrUnknownNode
 	}
-	if c.members[id].objs[0].ackCorrupt == nil {
-		return fmt.Errorf("%w: %s has no delta-gossip ack table", ErrNotCorruptible, c.cfg.Algorithm)
-	}
 	for o := range c.members[id].objs {
-		c.members[id].objs[o].ackCorrupt(c.rng)
+		if s := c.stabilizing(id, o); s == nil || !s.CorruptAckTable(c.rng) {
+			return fmt.Errorf("%w: %s has no delta-gossip ack table", ErrNotCorruptible, c.cfg.Algorithm)
+		}
 	}
 	return nil
 }
 
 // AckStats returns node id's gossip-mode tallies summed across its hosted
 // objects (zero when the algorithm runs without delta gossip).
-func (c *Cluster) AckStats(id int) node.AckStats {
+func (c *Cluster) AckStats(id int) kernel.AckStats {
 	if id < 0 || id >= c.cfg.N {
-		return node.AckStats{}
+		return kernel.AckStats{}
 	}
-	var sum node.AckStats
+	var sum kernel.AckStats
 	for o := range c.members[id].objs {
-		if stats := c.members[id].objs[o].ackStats; stats != nil {
-			s := stats()
+		if st := c.stabilizing(id, o); st != nil {
+			s := st.AckStats()
 			sum.Full += s.Full
 			sum.Delta += s.Delta
 			sum.Suppressed += s.Suppressed
@@ -474,23 +392,23 @@ func (c *Cluster) Objects() int { return c.cfg.Objects }
 func (c *Cluster) Config() Config { return c.cfg }
 
 // Object returns node id's snapshot object 0.
-func (c *Cluster) Object(id int) Object { return c.members[id].objs[0].obj }
+func (c *Cluster) Object(id int) Object { return c.members[id].objs[0] }
 
 // ObjectAt returns node id's snapshot object obj.
-func (c *Cluster) ObjectAt(id, obj int) Object { return c.members[id].objs[obj].obj }
+func (c *Cluster) ObjectAt(id, obj int) Object { return c.members[id].objs[obj] }
 
 // Bounded returns node id's bounded-counter wrapper, or nil when the
 // cluster does not run BoundedSS. Experiments use it to read reset
 // statistics.
 func (c *Cluster) Bounded(id int) *bounded.Node {
-	nd, _ := c.members[id].objs[0].obj.(*bounded.Node)
+	nd, _ := c.members[id].objs[0].(*bounded.Node)
 	return nd
 }
 
 // Delta returns node id's Algorithm 3 node, or nil when the cluster does
 // not run DeltaSS. Experiments use it to inspect helping activity.
 func (c *Cluster) Delta(id int) *deltasnap.Node {
-	nd, _ := c.members[id].objs[0].obj.(*deltasnap.Node)
+	nd, _ := c.members[id].objs[0].(*deltasnap.Node)
 	return nd
 }
 
@@ -508,7 +426,7 @@ func (c *Cluster) WriteObject(id, obj int, v types.Value) error {
 		return ErrUnknownObject
 	}
 	start := c.clk.Now()
-	err := c.members[id].objs[obj].obj.Write(v)
+	err := c.members[id].objs[obj].Write(v)
 	if err == nil {
 		c.writeLat.Record(c.clk.Since(start))
 	}
@@ -529,7 +447,7 @@ func (c *Cluster) SnapshotObject(id, obj int) (types.RegVector, error) {
 		return nil, ErrUnknownObject
 	}
 	start := c.clk.Now()
-	snap, err := c.members[id].objs[obj].obj.Snapshot()
+	snap, err := c.members[id].objs[obj].Snapshot()
 	if err == nil {
 		c.snapLat.Record(c.clk.Since(start))
 	}
@@ -563,11 +481,11 @@ func (c *Cluster) RestartDetectable(id int) error {
 	if id < 0 || id >= c.cfg.N {
 		return ErrUnknownNode
 	}
-	if c.members[id].objs[0].restart == nil {
+	if c.stabilizing(id, 0) == nil {
 		return fmt.Errorf("%w: %s has no detectable-restart hook", ErrNotCorruptible, c.cfg.Algorithm)
 	}
 	for o := range c.members[id].objs {
-		c.members[id].objs[o].restart()
+		c.stabilizing(id, o).RestartDetectable()
 	}
 	return nil
 }
@@ -592,13 +510,12 @@ func (c *Cluster) SkewedRestart(id int) error {
 	if id < 0 || id >= c.cfg.N {
 		return ErrUnknownNode
 	}
-	m := &c.members[id]
-	if m.objs[0].restart == nil || m.objs[0].mergeReg == nil {
+	if c.stabilizing(id, 0) == nil {
 		return fmt.Errorf("%w: %s has no restart-with-recovery hooks", ErrNotCorruptible, c.cfg.Algorithm)
 	}
-	for o := range m.objs {
-		m.objs[o].restart()
-		merge := m.objs[o].mergeReg
+	for o := range c.members[id].objs {
+		s := c.stabilizing(id, o)
+		s.RestartDetectable()
 		var maxSNS int64
 		for j := range c.members {
 			if j == id {
@@ -608,20 +525,16 @@ func (c *Cluster) SkewedRestart(id int) error {
 			// restarting node ever propagated survives somewhere in the
 			// union, so recovery can only miss what is already lost
 			// everywhere.
-			if st := c.members[j].objs[o].state; st != nil {
-				_, _, reg, pndSNS := st()
-				merge(reg)
-				if len(pndSNS) > id && pndSNS[id] > maxSNS {
-					maxSNS = pndSNS[id]
-				}
+			v := c.stabilizing(j, o).StateSummary()
+			s.MergeReg(v.Reg)
+			if len(v.PndSNS) > id && v.PndSNS[id] > maxSNS {
+				maxSNS = v.PndSNS[id]
 			}
 		}
 		// Definition 1(iii): sns_id must dominate every pndTsk_j[id].sns or
 		// a post-recovery snapshot collides with a stale cached result a
 		// peer still holds for the pre-crash task with the same number.
-		if adopt := m.objs[o].adoptSNS; adopt != nil && maxSNS > 0 {
-			adopt(maxSNS)
-		}
+		s.AdoptSNS(maxSNS)
 	}
 	return nil
 }
@@ -629,11 +542,11 @@ func (c *Cluster) SkewedRestart(id int) error {
 // Corrupt injects a transient fault at node id, overwriting all of its
 // algorithm state — every hosted object's — with arbitrary values.
 func (c *Cluster) Corrupt(id int) error {
-	if c.members[id].objs[0].corrupt == nil {
+	if c.stabilizing(id, 0) == nil {
 		return ErrNotCorruptible
 	}
 	for o := range c.members[id].objs {
-		c.members[id].objs[o].corrupt(c.rng)
+		c.stabilizing(id, o).Corrupt(c.rng)
 	}
 	return nil
 }
@@ -665,25 +578,17 @@ func (c *Cluster) InvariantsHold() bool {
 }
 
 func (c *Cluster) objectInvariantsHold(o int) bool {
-	type view struct {
-		ts, sns int64
-		reg     types.RegVector
-		pndSNS  []int64
-	}
-	views := make([]*view, len(c.members))
+	views := make([]*kernel.View, len(c.members))
 	for i := range c.members {
-		m := &c.members[i]
-		if m.rt.Crashed() {
+		s := c.stabilizing(i, o)
+		if s == nil || c.members[i].rt.Crashed() {
 			continue
 		}
-		inst := &m.objs[o]
-		if inst.invariant != nil && !inst.invariant() {
+		if !s.LocalInvariantHolds() {
 			return false
 		}
-		if inst.state != nil {
-			ts, sns, reg, pnd := inst.state()
-			views[i] = &view{ts: ts, sns: sns, reg: reg, pndSNS: pnd}
-		}
+		v := s.StateSummary()
+		views[i] = &v
 	}
 	for i, vi := range views {
 		if vi == nil {
@@ -693,10 +598,10 @@ func (c *Cluster) objectInvariantsHold(o int) bool {
 			if vj == nil {
 				continue
 			}
-			if i < len(vj.reg) && vj.reg[i].TS > vi.ts {
+			if i < len(vj.Reg) && vj.Reg[i].TS > vi.TS {
 				return false
 			}
-			if vj.pndSNS != nil && i < len(vj.pndSNS) && vj.pndSNS[i] > vi.sns {
+			if i < len(vj.PndSNS) && vj.PndSNS[i] > vi.SNS {
 				return false
 			}
 		}
@@ -788,8 +693,8 @@ func (c *Cluster) Network() *netsim.Network { return c.net }
 func (c *Cluster) Close() {
 	c.stopEv.Fire()
 	for i := range c.members {
-		for o := range c.members[i].objs {
-			c.members[i].objs[o].closer()
+		for _, inst := range c.members[i].objs {
+			inst.Close()
 		}
 	}
 	c.net.Close()

@@ -47,7 +47,7 @@ func TestSkewedRestartRecoversRegister(t *testing.T) {
 				t.Fatal(err)
 			}
 			// No convergence loop: the recovery merge already ran.
-			_, _, reg, _ := c.members[1].objs[0].state()
+			reg := c.stabilizing(1, 0).StateSummary().Reg
 			if string(reg[1].Val) != "propagated" || reg[1].TS != 1 {
 				t.Fatalf("recovery merge missed the node's own entry: %v", reg)
 			}
@@ -93,7 +93,7 @@ func TestSkewedRestartAdoptsPeerSNS(t *testing.T) {
 			if j == 1 {
 				continue
 			}
-			if _, _, _, pnd := c.members[j].objs[0].state(); len(pnd) > 1 && pnd[1] > m {
+			if pnd := c.stabilizing(j, 0).StateSummary().PndSNS; len(pnd) > 1 && pnd[1] > m {
 				m = pnd[1]
 			}
 		}
@@ -111,7 +111,7 @@ func TestSkewedRestartAdoptsPeerSNS(t *testing.T) {
 	if err := c.SkewedRestart(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, sns, _, _ := c.members[1].objs[0].state(); sns < before {
+	if sns := c.stabilizing(1, 0).StateSummary().SNS; sns < before {
 		t.Fatalf("restarted sns %d below a peer's pending entry %d — next snapshot would collide", sns, before)
 	}
 }
@@ -167,7 +167,7 @@ func TestSkewedRestartMultiObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	for o := 0; o < 3; o++ {
-		_, _, reg, _ := c.members[1].objs[o].state()
+		reg := c.stabilizing(1, o).StateSummary().Reg
 		if string(reg[1].Val) != "obj" {
 			t.Fatalf("object %d not recovered: %v", o, reg)
 		}

@@ -3,6 +3,7 @@ package deltasnap
 import (
 	"testing"
 
+	"selfstabsnap/internal/kernel"
 	"selfstabsnap/internal/netsim"
 	"selfstabsnap/internal/types"
 	"selfstabsnap/internal/wire"
@@ -44,7 +45,7 @@ func TestDeltaMacro(t *testing.T) {
 			name:  "own pending task always included",
 			delta: 1 << 30,
 			setup: func(nd *Node) {
-				nd.pndTsk[0] = pnd{sns: 1}
+				nd.k.Pnd[0] = kernel.Task{SNS: 1}
 			},
 			want: []int32{0},
 		},
@@ -52,7 +53,7 @@ func TestDeltaMacro(t *testing.T) {
 			name:  "own finished task excluded",
 			delta: 0,
 			setup: func(nd *Node) {
-				nd.pndTsk[0] = pnd{sns: 1, fnl: types.NewRegVector(n)}
+				nd.k.Pnd[0] = kernel.Task{SNS: 1, Fnl: types.NewRegVector(n)}
 			},
 			want: nil,
 		},
@@ -60,8 +61,8 @@ func TestDeltaMacro(t *testing.T) {
 			name:  "δ=0 includes every pending foreign task",
 			delta: 0,
 			setup: func(nd *Node) {
-				nd.pndTsk[1] = pnd{sns: 3}
-				nd.pndTsk[2] = pnd{sns: 7}
+				nd.k.Pnd[1] = kernel.Task{SNS: 3}
+				nd.k.Pnd[2] = kernel.Task{SNS: 7}
 			},
 			want: []int32{1, 2},
 		},
@@ -69,7 +70,7 @@ func TestDeltaMacro(t *testing.T) {
 			name:  "δ=0 excludes sns=0 (no task ever)",
 			delta: 0,
 			setup: func(nd *Node) {
-				nd.pndTsk[1] = pnd{sns: 0}
+				nd.k.Pnd[1] = kernel.Task{SNS: 0}
 			},
 			want: nil,
 		},
@@ -77,7 +78,7 @@ func TestDeltaMacro(t *testing.T) {
 			name:  "δ>0 excludes foreign task without vc",
 			delta: 2,
 			setup: func(nd *Node) {
-				nd.pndTsk[1] = pnd{sns: 3} // vc = ⊥: concurrency unproven
+				nd.k.Pnd[1] = kernel.Task{SNS: 3} // vc = ⊥: concurrency unproven
 			},
 			want: nil,
 		},
@@ -85,8 +86,8 @@ func TestDeltaMacro(t *testing.T) {
 			name:  "δ>0 excludes foreign task below threshold",
 			delta: 5,
 			setup: func(nd *Node) {
-				nd.reg[2] = types.TSValue{TS: 4, Val: types.Value("x")} // VC = [0,0,4,0]
-				nd.pndTsk[1] = pnd{sns: 3, vc: types.VectorClock{0, 0, 0, 0}}
+				nd.k.Reg[2] = types.TSValue{TS: 4, Val: types.Value("x")} // VC = [0,0,4,0]
+				nd.k.Pnd[1] = kernel.Task{SNS: 3, VC: types.VectorClock{0, 0, 0, 0}}
 				// DiffSum = 4 < δ = 5
 			},
 			want: nil,
@@ -95,8 +96,8 @@ func TestDeltaMacro(t *testing.T) {
 			name:  "δ>0 includes foreign task at threshold",
 			delta: 4,
 			setup: func(nd *Node) {
-				nd.reg[2] = types.TSValue{TS: 4, Val: types.Value("x")}
-				nd.pndTsk[1] = pnd{sns: 3, vc: types.VectorClock{0, 0, 0, 0}}
+				nd.k.Reg[2] = types.TSValue{TS: 4, Val: types.Value("x")}
+				nd.k.Pnd[1] = kernel.Task{SNS: 3, VC: types.VectorClock{0, 0, 0, 0}}
 				// DiffSum = 4 ≥ δ = 4
 			},
 			want: []int32{1},
@@ -105,7 +106,7 @@ func TestDeltaMacro(t *testing.T) {
 			name:  "finished foreign task never helped",
 			delta: 0,
 			setup: func(nd *Node) {
-				nd.pndTsk[1] = pnd{sns: 3, fnl: types.NewRegVector(n)}
+				nd.k.Pnd[1] = kernel.Task{SNS: 3, Fnl: types.NewRegVector(n)}
 			},
 			want: nil,
 		},
@@ -113,10 +114,10 @@ func TestDeltaMacro(t *testing.T) {
 			name:  "mixed: own + provably-concurrent foreign",
 			delta: 1,
 			setup: func(nd *Node) {
-				nd.pndTsk[0] = pnd{sns: 2}
-				nd.reg[3] = types.TSValue{TS: 9, Val: types.Value("w")}
-				nd.pndTsk[1] = pnd{sns: 1, vc: types.VectorClock{0, 0, 0, 7}} // diff 2 ≥ 1
-				nd.pndTsk[2] = pnd{sns: 1, vc: types.VectorClock{0, 0, 0, 9}} // diff 0 < 1
+				nd.k.Pnd[0] = kernel.Task{SNS: 2}
+				nd.k.Reg[3] = types.TSValue{TS: 9, Val: types.Value("w")}
+				nd.k.Pnd[1] = kernel.Task{SNS: 1, VC: types.VectorClock{0, 0, 0, 7}} // diff 2 ≥ 1
+				nd.k.Pnd[2] = kernel.Task{SNS: 1, VC: types.VectorClock{0, 0, 0, 9}} // diff 0 < 1
 			},
 			want: []int32{0, 1},
 		},
@@ -148,8 +149,8 @@ func TestIntersect(t *testing.T) {
 	defer cleanup()
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	nd.pndTsk[1] = pnd{sns: 1}
-	nd.pndTsk[2] = pnd{sns: 1}
+	nd.k.Pnd[1] = kernel.Task{SNS: 1}
+	nd.k.Pnd[2] = kernel.Task{SNS: 1}
 	// S = {2, 3}: only task 2 is in both S and Δ.
 	got := taskNodes(nd.intersectLocked(map[int32]struct{}{2: {}, 3: {}}))
 	if len(got) != 1 || got[0] != 2 {
@@ -169,7 +170,7 @@ func TestDeltaTaskCarriesSampledVC(t *testing.T) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	vc := types.VectorClock{1, 2, 3}
-	nd.pndTsk[1] = pnd{sns: 5, vc: vc.Clone()}
+	nd.k.Pnd[1] = kernel.Task{SNS: 5, VC: vc.Clone()}
 	d := nd.deltaLocked()
 	if len(d) != 1 || d[0].SNS != 5 || !d[0].VC.Equal(vc) {
 		t.Fatalf("Δ tuple = %+v, want sns=5 vc=%v", d, vc)
@@ -177,7 +178,7 @@ func TestDeltaTaskCarriesSampledVC(t *testing.T) {
 	// The tuple shares the sampled clock by reference: clocks are immutable
 	// once installed (replaced wholesale, never updated element-wise), so Δ
 	// construction is allocation-free per task.
-	if &d[0].VC[0] != &nd.pndTsk[1].vc[0] {
+	if &d[0].VC[0] != &nd.k.Pnd[1].VC[0] {
 		t.Fatal("Δ should share the sampled clock, not copy it")
 	}
 }

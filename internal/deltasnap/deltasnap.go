@@ -27,9 +27,11 @@ package deltasnap
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"selfstabsnap/internal/kernel"
 	"selfstabsnap/internal/netsim"
 	"selfstabsnap/internal/node"
 	"selfstabsnap/internal/types"
@@ -52,65 +54,35 @@ type Config struct {
 	Runtime node.Options
 }
 
-// pnd is one pndTsk entry: (sns, vc, fnl) — the index of node k's most
-// recent known snapshot task, the vector clock stamping the start of that
-// task (nil = ⊥), and its final result (nil = ⊥, still running).
-type pnd struct {
-	sns int64
-	vc  types.VectorClock
-	fnl types.RegVector
-}
-
-type pendingWrite struct {
-	val  types.Value
-	done chan struct{}
-	err  error
-}
-
-// Node is one participant of Algorithm 3.
+// Node is one participant of Algorithm 3. The embedded kernel.Shell is
+// Algorithm 1's register core (the paper builds Algorithm 3 on it): the
+// quorum write of line 84, the WRITE, SNAPSHOT and GOSSIP server side,
+// lines 73–78 of the loop, and the inspection and reset hooks. This package
+// adds the task layer.
 type Node struct {
-	rt  *node.ObjView
-	cfg Config
-	id  int
-	n   int
+	kernel.Shell
+	rt *node.ObjView
+	g  *kernel.Gossip
+	id int
 
 	opMu sync.Mutex // serialises this node's client operations
 
-	mu           sync.Mutex
-	ts           int64 // write-operation index
-	ssn          int64 // snapshot query index
-	sns          int64 // snapshot operation index
-	reg          types.RegVector
-	writePending *pendingWrite
-	pndTsk       []pnd
+	mu sync.Mutex   // guards k and the parked write
+	k  kernel.State // ts, ssn, sns, reg, pndTsk
 
 	// deltaV is the live δ value (initialised from Config.Delta, retuned
 	// by SetDelta). Atomic so the adaptive tuner can adjust it without
 	// taking the algorithm lock.
 	deltaV atomic.Int64
-
-	// acks is the delta-gossip ack table (nil when FullGossip). Own lock;
-	// soft state — resetting it on repair events costs only extra gossip.
-	acks *node.AckTable
 }
 
 // New creates a node with identifier id over transport tr.
 func New(id int, tr netsim.Transport, cfg Config) *Node {
-	if cfg.Delta < 0 {
-		cfg.Delta = 0
-	}
-	nd := &Node{
-		cfg:    cfg,
-		id:     id,
-		n:      tr.N(),
-		reg:    types.NewRegVector(tr.N()),
-		pndTsk: make([]pnd, tr.N()),
-	}
-	nd.deltaV.Store(cfg.Delta)
-	if !cfg.FullGossip {
-		nd.acks = node.NewAckTable(tr.N(), node.DefaultAckStaleness)
-	}
+	nd := &Node{id: id, k: kernel.New(id, tr.N(), true)}
+	nd.SetDelta(cfg.Delta)
 	nd.rt = node.Bind(id, tr, nd, cfg.Runtime)
+	nd.g = kernel.NewGossip(nd.rt, cfg.FullGossip)
+	nd.Shell = kernel.NewShell(nd.rt, nd.g, &nd.mu, &nd.k, false)
 	return nd
 }
 
@@ -126,64 +98,31 @@ func (nd *Node) SetDelta(d int64) {
 	nd.deltaV.Store(d)
 }
 
-// AckStats returns this node's gossip-mode tallies (zero when delta
-// gossip is disabled).
-func (nd *Node) AckStats() node.AckStats {
-	if nd.acks == nil {
-		return node.AckStats{}
-	}
-	return nd.acks.Stats()
-}
-
-// CorruptAckTable fills the delta-gossip ack table with arbitrary values —
-// the chaos nemesis for the stabilization obligation. No-op when delta
-// gossip is disabled.
-func (nd *Node) CorruptAckTable(rng *rand.Rand) {
-	if nd.acks == nil {
-		return
-	}
-	nd.rt.RecordEvent("ack-corrupt", "delta-gossip ack table overwritten")
-	nd.acks.Corrupt(rng)
-}
-
-// Start launches the node's goroutines.
-func (nd *Node) Start() { nd.rt.Start() }
-
-// Close permanently stops the node.
-func (nd *Node) Close() { nd.rt.Close() }
-
-// Runtime exposes lifecycle controls.
-func (nd *Node) Runtime() *node.Runtime { return nd.rt.Runtime }
-
-// vcLocked is macro VC (line 69): the write-index projection of reg.
-func (nd *Node) vcLocked() types.VectorClock { return nd.reg.VC() }
-
 // deltaLocked is macro Δ (line 70): the snapshot tasks this node must help
 // with right now — every unfinished task that either (δ=0) simply exists,
 // or has provably run concurrently with at least δ writes (its sampled
 // vector clock trails the current one by ≥ δ), plus always the node's own
 // unfinished task.
 func (nd *Node) deltaLocked() []wire.TaskInfo {
-	vc := nd.vcLocked()
+	vc := nd.k.Reg.VC() // macro VC (line 69)
 	delta := nd.deltaV.Load()
 	var out []wire.TaskInfo
-	for k := range nd.pndTsk {
-		p := nd.pndTsk[k]
+	for k, p := range nd.k.Pnd {
 		include := false
 		switch {
 		case k == nd.id:
-			include = p.sns > 0 && p.fnl == nil
-		case p.fnl != nil:
+			include = p.SNS > 0 && p.Fnl == nil
+		case p.Fnl != nil:
 			// finished: nothing to do
-		case delta == 0 && p.sns > 0:
+		case delta == 0 && p.SNS > 0:
 			include = true
-		case p.vc != nil && delta <= p.vc.DiffSum(vc):
+		case p.VC != nil && delta <= p.VC.DiffSum(vc):
 			include = true
 		}
 		if include {
 			// VCs are immutable once built (replaced wholesale, never
 			// updated element-wise), so tasks share them by reference.
-			out = append(out, wire.TaskInfo{Node: int32(k), SNS: p.sns, VC: p.vc})
+			out = append(out, wire.TaskInfo{Node: int32(k), SNS: p.SNS, VC: p.VC})
 		}
 	}
 	return out
@@ -202,31 +141,12 @@ func (nd *Node) intersectLocked(s map[int32]struct{}) []wire.TaskInfo {
 	return out
 }
 
-// Write performs the preemptible write(v) operation (line 81).
+// Write performs the preemptible write(v) operation (line 81): the loop
+// runs it (line 79), now rather than at the next tick.
 func (nd *Node) Write(v types.Value) error {
 	nd.opMu.Lock()
 	defer nd.opMu.Unlock()
-
-	// Clone the caller's value once at the API boundary; it is immutable
-	// from here on and baseWrite installs it without further copying.
-	pw := &pendingWrite{val: types.Freeze(v.Clone()), done: make(chan struct{})}
-	nd.mu.Lock()
-	nd.writePending = pw
-	nd.mu.Unlock()
-	nd.rt.Kick() // line 79 runs now, not at the next tick
-
-	err := nd.rt.WaitUntil(func() bool {
-		select {
-		case <-pw.done:
-			return true
-		default:
-			return false
-		}
-	})
-	if err != nil {
-		return err
-	}
-	return pw.err
+	return nd.ParkWrite(v)
 }
 
 // Snapshot performs the snapshot() operation (lines 82–83): register a new
@@ -236,8 +156,8 @@ func (nd *Node) Snapshot() (types.RegVector, error) {
 	defer nd.opMu.Unlock()
 
 	nd.mu.Lock()
-	nd.sns++
-	nd.pndTsk[nd.id] = pnd{sns: nd.sns}
+	nd.k.SNS++
+	nd.k.Pnd[nd.id] = kernel.Task{SNS: nd.k.SNS}
 	nd.mu.Unlock()
 	nd.rt.Kick() // line 80 picks the task up now, not at the next tick
 
@@ -245,7 +165,7 @@ func (nd *Node) Snapshot() (types.RegVector, error) {
 	err := nd.rt.WaitUntil(func() bool {
 		nd.mu.Lock()
 		defer nd.mu.Unlock()
-		res = nd.pndTsk[nd.id].fnl
+		res = nd.k.Pnd[nd.id].Fnl
 		return res != nil
 	})
 	if err != nil {
@@ -255,123 +175,12 @@ func (nd *Node) Snapshot() (types.RegVector, error) {
 }
 
 // Tick is one full iteration of the do-forever loop (lines 73–80): clean
-// stale information and gossip indices (lines 73–78), then run the pending
+// stale information and gossip indices (lines 73–78, the kernel's part,
+// which recurs every LoopInterval and only then), then run the pending
 // write and help every task in Δ (lines 79–80, ServePending).
 func (nd *Node) Tick() {
-	nd.cleanAndGossip()
+	nd.Shell.Tick()
 	nd.ServePending()
-}
-
-// cleanAndGossip is lines 73–78, the part of the loop body that recurs
-// every LoopInterval and only then. Stale SNAPSHOTack deletion (line 74)
-// is structural, as in Algorithm 1: collectors match the exact in-flight
-// ssn only.
-func (nd *Node) cleanAndGossip() {
-	type gossipOut struct {
-		entry types.TSValue
-		task  pnd
-	}
-	nd.mu.Lock()
-	// Line 75: out-dated operation indices. An index lagging its own
-	// register/task entry is the footprint of a transient fault — repaired
-	// state invalidates the delta-gossip ack table below.
-	idxRepaired := false
-	if own := nd.reg[nd.id].TS; own > nd.ts {
-		nd.ts = own
-		idxRepaired = true
-	}
-	if own := nd.pndTsk[nd.id].sns; own > nd.sns {
-		nd.sns = own
-		idxRepaired = true
-	}
-	// Line 76: illogical vector clocks.
-	vc := nd.vcLocked()
-	for k := range nd.pndTsk {
-		if nd.pndTsk[k].vc != nil && !nd.pndTsk[k].vc.LessEq(vc) {
-			nd.pndTsk[k].vc = nil
-		}
-	}
-	// Line 77: corrupted own pndTsk entry.
-	pndRepaired := false
-	if nd.sns != nd.pndTsk[nd.id].sns {
-		nd.pndTsk[nd.id] = pnd{sns: nd.sns}
-		pndRepaired = true
-	}
-	// Line 78: gossip payloads (reg[k], pndTsk[k], sns) per peer. The sns
-	// value sent to p_k is pndTsk[k].sns — this node's knowledge of p_k's
-	// OWN snapshot index — mirroring how reg[k] gossip restores p_k's own
-	// register (Definition 1 invariant (iii): sns_i must dominate every
-	// pndTsk_j[i].sns). Gossiping the sender's own sns instead would make
-	// every node adopt the global maximum and line 77 would then fabricate
-	// phantom pending tasks at every node, forcing O(n²) traffic for every
-	// snapshot regardless of δ.
-	// Entry structs, VCs and final results are all immutable once installed,
-	// so the per-peer gossip payloads share them by reference — this loop
-	// used to be an O(n²·ν) deep copy per tick.
-	gossip := make([]gossipOut, nd.n)
-	for k := 0; k < nd.n; k++ {
-		gossip[k] = gossipOut{entry: nd.reg[k], task: pnd{
-			sns: nd.pndTsk[k].sns, vc: nd.pndTsk[k].vc, fnl: nd.pndTsk[k].fnl,
-		}}
-	}
-	nd.mu.Unlock()
-	if pndRepaired {
-		nd.rt.RecordEvent("pndtsk-repair", "own pending-task entry disagreed with sns")
-	}
-	if (pndRepaired || idxRepaired) && nd.acks != nil {
-		nd.acks.Reset() // suspect state: next tick gossips in full
-	}
-
-	full := func(k int) *wire.Message {
-		g := gossip[k]
-		return &wire.Message{
-			Type:  wire.TGossip,
-			Entry: g.entry,
-			SNS:   g.task.sns,
-			Tasks: []wire.TaskInfo{{Node: int32(k), SNS: g.task.sns, VC: g.task.vc}},
-			Saves: []wire.SaveEntry{{Node: int32(k), SNS: g.task.sns, Result: g.task.fnl}},
-		}
-	}
-	if nd.acks == nil {
-		nd.rt.GossipTo(full)
-	} else {
-		nd.acks.Advance()
-		counters := nd.rt.Counters()
-		nd.rt.GossipTo(func(k int) *wire.Message {
-			g := gossip[k]
-			st, fresh := nd.acks.Fresh(k)
-			if !fresh {
-				m := full(k)
-				nd.acks.NoteFull()
-				counters.RecordGossipFull(m.Size())
-				return m
-			}
-			// The peer acked (its own register index, its own sns, whether
-			// its own task is done) recently. We must still send iff our
-			// knowledge of the peer's own entry or task exceeds the ack —
-			// that is exactly the repair case gossip exists for.
-			resultNeeded := g.task.fnl != nil &&
-				(g.task.sns > st.SNS || (g.task.sns == st.SNS && !st.Done))
-			if g.entry.TS <= st.TS && g.task.sns <= st.SNS && !resultNeeded {
-				nd.acks.NoteSuppressed()
-				counters.RecordGossipSuppressed()
-				return nil
-			}
-			// Delta send: trim pieces the ack already covers. The receiver
-			// reads only Entry, SNS and Saves from a GOSSIP (Tasks mirror
-			// SNS), so the trimmed message repairs exactly as the full one.
-			m := &wire.Message{Type: wire.TGossip, SNS: g.task.sns}
-			if g.entry.TS > st.TS {
-				m.Entry = g.entry
-			}
-			if resultNeeded {
-				m.Saves = []wire.SaveEntry{{Node: int32(k), SNS: g.task.sns, Result: g.task.fnl}}
-			}
-			nd.acks.NoteDelta()
-			counters.RecordGossipDelta(m.Size())
-			return m
-		})
-	}
 }
 
 // ServePending is lines 79–80, the part of the loop body that executes
@@ -379,16 +188,9 @@ func (nd *Node) cleanAndGossip() {
 // an on-demand iteration (node.OnDemand) right after Write or Snapshot
 // kicked the loop.
 func (nd *Node) ServePending() {
-	// Line 79: serve the pending write first.
-	nd.mu.Lock()
-	pw := nd.writePending
-	nd.writePending = nil
-	nd.mu.Unlock()
-	if pw != nil {
-		pw.err = nd.baseWrite(pw.val)
-		close(pw.done)
-		nd.rt.Wake()
-	}
+	// Line 79: serve the pending write first; it is line 84, Algorithm 1's
+	// write.
+	nd.ServeParked()
 
 	// Line 80: help all currently active tasks.
 	nd.mu.Lock()
@@ -403,42 +205,6 @@ func (nd *Node) ServePending() {
 	}
 }
 
-// baseWrite is line 84 — identical to Algorithm 1's write, including the
-// self-stabilizing ts merge of macro merge (line 72).
-func (nd *Node) baseWrite(v types.Value) error {
-	nd.mu.Lock()
-	nd.ts++
-	nd.reg[nd.id] = types.TSValue{TS: nd.ts, Val: v} // v cloned+frozen in Write
-	lReg := nd.reg.Share()
-	nd.mu.Unlock()
-
-	recs, err := nd.rt.Call(node.CallOpts{
-		Build: func() *wire.Message {
-			return &wire.Message{Type: wire.TWrite, Reg: lReg}
-		},
-		Accept: func(m *wire.Message) bool {
-			return m.Type == wire.TWriteAck && lReg.LessEq(m.Reg)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	nd.merge(recs)
-	return nil
-}
-
-// merge is macro merge(Rec) (line 72).
-func (nd *Node) merge(recs []*wire.Message) {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	for _, m := range recs {
-		nd.reg.MergeFrom(m.Reg)
-	}
-	if own := nd.reg[nd.id].TS; own > nd.ts {
-		nd.ts = own
-	}
-}
-
 // baseSnapshot is lines 85–94: the outer loop retries double-collect rounds
 // with fresh ssn values; a quiet round stores the collected vector as the
 // result of every task in S∩Δ through the safe register; a non-quiet round
@@ -447,9 +213,9 @@ func (nd *Node) merge(recs []*wire.Message) {
 func (nd *Node) baseSnapshot(s map[int32]struct{}) {
 	for {
 		nd.mu.Lock()
-		nd.ssn++
-		ssn := nd.ssn
-		prev := nd.reg.Share()
+		nd.k.SSN++
+		ssn := nd.k.SSN
+		prev := nd.k.Reg.Share()
 		nd.mu.Unlock()
 
 		// Inner loop (lines 87–89): broadcast SNAPSHOT(S∩Δ, reg, ssn) until
@@ -460,7 +226,7 @@ func (nd *Node) baseSnapshot(s map[int32]struct{}) {
 			Build: func() *wire.Message {
 				nd.mu.Lock()
 				tasks := nd.intersectLocked(s)
-				reg := nd.reg.Share()
+				reg := nd.k.Reg.Share()
 				nd.mu.Unlock()
 				return &wire.Message{Type: wire.TSnapshot, Tasks: tasks, Reg: reg, SSN: ssn}
 			},
@@ -476,22 +242,22 @@ func (nd *Node) baseSnapshot(s map[int32]struct{}) {
 		if err != nil {
 			return
 		}
-		nd.merge(recs) // line 90
+		nd.Merge(recs) // line 90
 
 		nd.mu.Lock()
 		cur := nd.intersectLocked(s)
-		quiet := nd.reg.Equal(prev)
+		quiet := nd.k.Reg.Equal(prev)
 		var save []wire.SaveEntry
 		if quiet && len(cur) > 0 {
 			// Line 91–92: store prev as the result of every active task.
 			save = make([]wire.SaveEntry, 0, len(cur))
 			for _, t := range cur {
-				save = append(save, wire.SaveEntry{Node: t.Node, SNS: nd.pndTsk[t.Node].sns, Result: prev})
+				save = append(save, wire.SaveEntry{Node: t.Node, SNS: nd.k.Pnd[t.Node].SNS, Result: prev})
 			}
-		} else if containsNode(cur, int32(nd.id)) && nd.pndTsk[nd.id].vc == nil {
+		} else if nd.k.Pnd[nd.id].VC == nil && slices.ContainsFunc(cur, func(t wire.TaskInfo) bool { return t.Node == int32(nd.id) }) {
 			// Line 93: stamp the own task with the current vector clock so
 			// later rounds can count concurrent writes against δ.
-			nd.pndTsk[nd.id].vc = nd.vcLocked()
+			nd.k.Pnd[nd.id].VC = nd.k.Reg.VC()
 		}
 		nd.mu.Unlock()
 
@@ -510,8 +276,8 @@ func (nd *Node) baseSnapshot(s map[int32]struct{}) {
 		cur = nd.intersectLocked(s)
 		exit := len(cur) == 0
 		if !exit && len(cur) == 1 && cur[0].Node == int32(nd.id) {
-			p := nd.pndTsk[nd.id]
-			if p.sns > 0 && p.fnl == nil && p.vc != nil && nd.deltaV.Load() <= p.vc.DiffSum(nd.vcLocked()) {
+			p := nd.k.Pnd[nd.id]
+			if p.SNS > 0 && p.Fnl == nil && p.VC != nil && nd.deltaV.Load() <= p.VC.DiffSum(nd.k.Reg.VC()) {
 				exit = true
 			}
 		}
@@ -550,318 +316,65 @@ func (nd *Node) safeReg(a []wire.SaveEntry) error {
 	return err
 }
 
-// HandleMessage is the server side (lines 95–107).
+// HandleMessage is the server side (lines 95–107): SAVE here, the rest in
+// the kernel.
 func (nd *Node) HandleMessage(m *wire.Message) {
-	switch m.Type {
-	case wire.TSave:
-		// Lines 95–97: adopt newer task indices/results; echo (k,s) pairs.
-		ack := make([]wire.SaveEntry, 0, len(m.Saves))
-		ownLanded := false
-		nd.mu.Lock()
-		for _, e := range m.Saves {
-			k := int(e.Node)
-			if k < 0 || k >= nd.n || e.Result == nil {
-				continue
-			}
-			p := &nd.pndTsk[k]
-			if p.sns < e.SNS || (p.sns == e.SNS && p.fnl == nil) {
-				p.sns = e.SNS
-				p.fnl = e.Result // arriving results are immutable: adopt
-				ownLanded = ownLanded || k == nd.id
-			}
-			ack = append(ack, wire.SaveEntry{Node: e.Node, SNS: e.SNS})
-		}
-		nd.mu.Unlock()
-		if ownLanded {
-			nd.rt.Wake() // Snapshot is waiting for exactly this
-		}
-		nd.rt.Send(int(m.From), &wire.Message{Type: wire.TSaveAck, Saves: ack})
-
-	case wire.TGossip:
-		// Lines 98–99 plus the documented result-forwarding divergence: a
-		// gossiped pndTsk[i] entry carrying a final result for our current
-		// task is adopted (the same value the safe register stores).
-		nd.mu.Lock()
-		if nd.reg[nd.id].Less(m.Entry) {
-			nd.reg[nd.id] = m.Entry
-		}
-		if own := nd.reg[nd.id].TS; own > nd.ts {
-			nd.ts = own
-		}
-		if m.SNS > nd.sns {
-			nd.sns = m.SNS
-		}
-		ownLanded := false
-		for _, e := range m.Saves {
-			if int(e.Node) == nd.id && e.Result != nil {
-				p := &nd.pndTsk[nd.id]
-				if p.sns == e.SNS && p.fnl == nil {
-					p.fnl = e.Result
-					ownLanded = true
-				}
-			}
-		}
-		ownTS := nd.reg[nd.id].TS
-		ownSNS := nd.sns
-		ownDone := nd.pndTsk[nd.id].fnl != nil
-		nd.mu.Unlock()
-		if ownLanded {
-			nd.rt.Wake()
-		}
-		if nd.acks != nil {
-			// Echo the post-merge own indices so the sender can skip
-			// re-gossiping what this node already holds.
-			ack := &wire.Message{Type: wire.TGossipAck, TS: ownTS, SNS: ownSNS}
-			if ownDone {
-				ack.TaskSN = 1
-			}
-			nd.rt.Send(int(m.From), ack)
-		}
-
-	case wire.TGossipAck:
-		if nd.acks != nil {
-			nd.acks.Record(int(m.From), node.AckState{TS: m.TS, SNS: m.SNS, Done: m.TaskSN != 0})
-		}
-
-	case wire.TWrite:
-		// Lines 100–102.
-		nd.mu.Lock()
-		nd.reg.MergeFrom(m.Reg)
-		reply := &wire.Message{Type: wire.TWriteAck, Reg: nd.reg.Share()}
-		nd.mu.Unlock()
-		nd.rt.Send(int(m.From), reply)
-
-	case wire.TSnapshot:
-		// Lines 103–107.
-		nd.mu.Lock()
-		nd.reg.MergeFrom(m.Reg)
-		for _, t := range m.Tasks {
-			k := int(t.Node)
-			if k < 0 || k >= nd.n {
-				continue
-			}
-			p := &nd.pndTsk[k]
-			if p.sns < t.SNS || (p.sns == t.SNS && p.vc == nil && p.fnl == nil) {
-				*p = pnd{sns: t.SNS, vc: t.VC}
-			}
-		}
-		var fwd []wire.SaveEntry
-		for _, t := range m.Tasks {
-			k := int(t.Node)
-			if k < 0 || k >= nd.n {
-				continue
-			}
-			if p := nd.pndTsk[k]; p.fnl != nil {
-				fwd = append(fwd, wire.SaveEntry{Node: t.Node, SNS: p.sns, Result: p.fnl})
-			}
-		}
-		reply := &wire.Message{Type: wire.TSnapshotAck, Reg: nd.reg.Share(), SSN: m.SSN}
-		nd.mu.Unlock()
-		nd.rt.Send(int(m.From), reply)
-		if len(fwd) > 0 {
-			// Line 107: a node holding the result of an ongoing task sends
-			// it straight to the requesting node.
-			nd.rt.Send(int(m.From), &wire.Message{Type: wire.TSave, Saves: fwd})
-		}
+	if m.Type != wire.TSave {
+		nd.Shell.HandleMessage(m)
+		return
 	}
-}
-
-// Route implements node.Router for sharded dispatch. TWriteAck,
-// TSnapshotAck and TSaveAck are consumed only by quorum-call acceptance
-// predicates (HandleMessage above has no case for any of them), so they
-// take the dedicated ack lane. All remaining traffic shards by the
-// sending node (per-register FIFO; the save/gossip merge paths are
-// monotone, so cross-sender interleavings are legal network reorderings).
-func (nd *Node) Route(m *wire.Message) (node.Lane, int) {
-	switch m.Type {
-	case wire.TWriteAck, wire.TSnapshotAck, wire.TSaveAck:
-		return node.LaneAck, 0
-	}
-	return node.LaneShard, int(m.From)
-}
-
-func containsNode(ts []wire.TaskInfo, id int32) bool {
-	for _, t := range ts {
-		if t.Node == id {
-			return true
-		}
-	}
-	return false
-}
-
-// State is a copy of a node's principal variables.
-type State struct {
-	TS, SSN, SNS int64
-	Reg          types.RegVector
-	PndSNS       []int64
-	PndDone      []bool
-}
-
-// StateSummary returns a consistent copy of the node's state.
-func (nd *Node) StateSummary() State {
+	// Lines 95–97: adopt newer task indices/results; echo (k,s) pairs.
+	ack := make([]wire.SaveEntry, 0, len(m.Saves))
+	ownLanded := false
 	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	st := State{
-		TS: nd.ts, SSN: nd.ssn, SNS: nd.sns, Reg: nd.reg.Clone(),
-		PndSNS: make([]int64, nd.n), PndDone: make([]bool, nd.n),
+	for _, e := range m.Saves {
+		k := int(e.Node)
+		if k < 0 || k >= len(nd.k.Pnd) || e.Result == nil {
+			continue
+		}
+		p := &nd.k.Pnd[k]
+		if p.SNS < e.SNS || (p.SNS == e.SNS && p.Fnl == nil) {
+			p.SNS = e.SNS
+			p.Fnl = e.Result // arriving results are immutable: adopt
+			ownLanded = ownLanded || k == nd.id
+		}
+		ack = append(ack, wire.SaveEntry{Node: e.Node, SNS: e.SNS})
 	}
-	for k := range nd.pndTsk {
-		st.PndSNS[k] = nd.pndTsk[k].sns
-		st.PndDone[k] = nd.pndTsk[k].fnl != nil
+	nd.mu.Unlock()
+	if ownLanded {
+		nd.rt.Wake() // Snapshot is waiting for exactly this
 	}
-	return st
+	nd.rt.Send(int(m.From), &wire.Message{Type: wire.TSaveAck, Saves: ack})
 }
 
 // Corrupt models a transient fault: every algorithm variable is overwritten
 // with arbitrary values (§2 fault model).
 func (nd *Node) Corrupt(rng *rand.Rand) {
 	nd.rt.RecordEvent("transient-fault", "algorithm variables overwritten")
-	if nd.acks != nil {
-		nd.acks.Reset() // repaired state must be re-gossiped in full
-	}
+	nd.g.Reset() // repaired state must be re-gossiped in full
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	nd.ts = rng.Int63n(1 << 20)
-	nd.ssn = rng.Int63n(1 << 20)
-	nd.sns = rng.Int63n(1 << 20)
-	for k := range nd.reg {
+	k, n := &nd.k, len(nd.k.Reg)
+	k.TS = rng.Int63n(1 << 20)
+	k.SSN = rng.Int63n(1 << 20)
+	k.SNS = rng.Int63n(1 << 20)
+	for j := range k.Reg {
 		if rng.Intn(2) == 0 {
-			nd.reg[k] = types.TSValue{TS: rng.Int63n(1 << 20)}
+			k.Reg[j] = types.TSValue{TS: rng.Int63n(1 << 20)}
 		}
 	}
-	for k := range nd.pndTsk {
+	for j := range k.Pnd {
 		switch rng.Intn(3) {
 		case 0:
-			nd.pndTsk[k] = pnd{}
+			k.Pnd[j] = kernel.Task{}
 		case 1:
-			vc := make(types.VectorClock, nd.n)
+			vc := make(types.VectorClock, n)
 			for i := range vc {
 				vc[i] = rng.Int63n(1 << 20)
 			}
-			nd.pndTsk[k] = pnd{sns: rng.Int63n(1 << 20), vc: vc}
+			k.Pnd[j] = kernel.Task{SNS: rng.Int63n(1 << 20), VC: vc}
 		case 2:
-			nd.pndTsk[k] = pnd{sns: rng.Int63n(1 << 20), fnl: types.NewRegVector(nd.n)}
+			k.Pnd[j] = kernel.Task{SNS: rng.Int63n(1 << 20), Fnl: types.NewRegVector(n)}
 		}
 	}
-}
-
-// RestartDetectable performs the paper's detectable restart: crash,
-// re-initialise every variable, lose channel content, resume. The node's
-// operation indices are restored from its peers via gossip (Definition
-// 1(iii)) within O(1) cycles.
-func (nd *Node) RestartDetectable() {
-	nd.rt.RecordEvent("detectable-restart", "variables re-initialised, channels drained")
-	nd.rt.RestartDetectable(func() {
-		nd.mu.Lock()
-		nd.ts, nd.ssn, nd.sns = 0, 0, 0
-		nd.reg = types.NewRegVector(nd.n)
-		nd.writePending = nil
-		nd.pndTsk = make([]pnd, nd.n)
-		nd.mu.Unlock()
-		if nd.acks != nil {
-			nd.acks.Reset()
-		}
-	})
-}
-
-// MaxIndex returns the largest operation index in the node's state — the
-// §5 bounded-counter variation watches it against MAXINT.
-func (nd *Node) MaxIndex() int64 {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	m := nd.ts
-	for _, v := range []int64{nd.ssn, nd.sns, nd.reg.MaxTS()} {
-		if v > m {
-			m = v
-		}
-	}
-	for k := range nd.pndTsk {
-		if nd.pndTsk[k].sns > m {
-			m = nd.pndTsk[k].sns
-		}
-	}
-	return m
-}
-
-// RegSnapshot returns a shared-structure snapshot of the register vector
-// (bounded-counter reset watcher; polled every tick).
-func (nd *Node) RegSnapshot() types.RegVector {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	return nd.reg.Share()
-}
-
-// AdoptSNS raises the node's own snapshot index to at least s, keeping its
-// own pending-task entry consistent (Definition 1 invariant (iii): sns_i
-// must dominate every pndTsk_j[i].sns). Recovery from a detectable restart
-// uses it so a fresh snapshot task can never collide with a pre-restart
-// index — peers still hold old pndTsk entries for this node, complete with
-// cached final results, and a colliding sns would let gossip hand one of
-// those stale vectors back as the "result" of the new task.
-func (nd *Node) AdoptSNS(s int64) {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if s > nd.sns {
-		nd.sns = s
-	}
-	if nd.pndTsk[nd.id].sns != nd.sns {
-		nd.pndTsk[nd.id] = pnd{sns: nd.sns}
-	}
-}
-
-// MergeReg folds an external register vector in (MAXIDX gossip).
-func (nd *Node) MergeReg(r types.RegVector) {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	nd.reg.MergeFrom(r)
-	if own := nd.reg[nd.id].TS; own > nd.ts {
-		nd.ts = own
-	}
-}
-
-// InstallReset implements §5's global reset at this node: the register
-// vector is replaced wholesale by r, the value the reset consensus decided
-// (non-⊥ decided entries restart at write index 1 with their decided
-// values), every operation index re-initialises, and the pending-task table
-// clears — every snapshot task from the old index era is obsolete by
-// construction, since the reset only runs with all nodes frozen and
-// drained. Installing the decided vector makes all committing nodes
-// byte-identical without requiring the MAXIDX gossip to have converged
-// first.
-func (nd *Node) InstallReset(r types.RegVector) {
-	nd.mu.Lock()
-	nd.reg = types.NewRegVector(nd.n)
-	for k := 0; k < nd.n && k < len(r); k++ {
-		if !r[k].IsBottom() {
-			nd.reg[k] = types.TSValue{TS: 1, Val: r[k].Val}
-		}
-	}
-	nd.ts = nd.reg[nd.id].TS
-	nd.ssn, nd.sns = 0, 0
-	nd.pndTsk = make([]pnd, nd.n)
-	nd.mu.Unlock()
-	if nd.acks != nil {
-		nd.acks.Reset() // pre-reset acks describe collapsed indices
-	}
-}
-
-// LocalInvariantHolds checks Definition 1's per-node invariants (i)–(iv)
-// restricted to locally checkable state: ts ≥ reg[i].ts,
-// sns = pndTsk[i].sns, and every pndTsk vc ⪯ VC.
-func (nd *Node) LocalInvariantHolds() bool {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	if nd.ts < nd.reg[nd.id].TS {
-		return false
-	}
-	if nd.sns != nd.pndTsk[nd.id].sns {
-		return false
-	}
-	vc := nd.vcLocked()
-	for k := range nd.pndTsk {
-		if nd.pndTsk[k].vc != nil && !nd.pndTsk[k].vc.LessEq(vc) {
-			return false
-		}
-	}
-	return true
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"selfstabsnap/internal/kernel"
 	"selfstabsnap/internal/netsim"
 	"selfstabsnap/internal/types"
 )
@@ -18,13 +19,13 @@ func TestVectorClockHygiene(t *testing.T) {
 	nd := nodes[0]
 
 	nd.mu.Lock()
-	nd.pndTsk[1] = pnd{sns: 1, vc: types.VectorClock{999, 999, 999}} // corrupted: exceeds VC
+	nd.k.Pnd[1] = kernel.Task{SNS: 1, VC: types.VectorClock{999, 999, 999}} // corrupted: exceeds VC
 	nd.mu.Unlock()
 
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		nd.mu.Lock()
-		cleared := nd.pndTsk[1].vc == nil
+		cleared := nd.k.Pnd[1].VC == nil
 		nd.mu.Unlock()
 		if cleared {
 			return
@@ -52,8 +53,8 @@ func TestOwnSnsRecovery(t *testing.T) {
 
 	// Corrupt node 0's own indices low.
 	nodes[0].mu.Lock()
-	nodes[0].sns = 0
-	nodes[0].pndTsk[0] = pnd{}
+	nodes[0].k.SNS = 0
+	nodes[0].k.Pnd[0] = kernel.Task{}
 	nodes[0].mu.Unlock()
 
 	deadline := time.Now().Add(2 * time.Second)

@@ -3,7 +3,6 @@ package node
 import (
 	"math/rand"
 	"sync"
-	"sync/atomic"
 )
 
 // DefaultAckStaleness is how many of the owner's do-forever ticks a
@@ -51,12 +50,6 @@ type AckTable struct {
 	ent       []ackEntry
 	tick      int64
 	staleness int64
-
-	// Per-node gossip-mode tallies (the cluster-wide aggregate lives in
-	// metrics.Counters); the ack-corruption convergence tests watch these.
-	full       atomic.Int64
-	delta      atomic.Int64
-	suppressed atomic.Int64
 }
 
 // NewAckTable creates a table for n peers with the given staleness window
@@ -140,22 +133,4 @@ func (a *AckTable) Corrupt(rng *rand.Rand) {
 		}
 	}
 	a.mu.Unlock()
-}
-
-// NoteFull / NoteDelta / NoteSuppressed tally this node's per-peer gossip
-// decisions.
-func (a *AckTable) NoteFull()       { a.full.Add(1) }
-func (a *AckTable) NoteDelta()      { a.delta.Add(1) }
-func (a *AckTable) NoteSuppressed() { a.suppressed.Add(1) }
-
-// AckStats is a point-in-time copy of one node's gossip-mode tallies.
-type AckStats struct {
-	Full       int64
-	Delta      int64
-	Suppressed int64
-}
-
-// Stats returns the node's gossip-mode tallies.
-func (a *AckTable) Stats() AckStats {
-	return AckStats{Full: a.full.Load(), Delta: a.delta.Load(), Suppressed: a.suppressed.Load()}
 }

@@ -106,16 +106,6 @@ func aliasRuntimeOpts() node.Options {
 	return node.Options{LoopInterval: time.Millisecond, RetxInterval: 2 * time.Millisecond}
 }
 
-// boundedAlias adapts a bounded wrapper to the hammer's surface: Corrupt
-// is forwarded to the wrapped algorithm, whose state the transient fault
-// actually scrambles.
-type boundedAlias struct {
-	*bounded.Node
-	corrupt func(*rand.Rand)
-}
-
-func (b boundedAlias) Corrupt(rng *rand.Rand) { b.corrupt(rng) }
-
 // TestSharedStructureAliasSafety hammers both self-stabilizing algorithms
 // over both transports. The netsim transport shares payloads via
 // copy-on-write ShallowClones (maximum aliasing pressure); tcpnet marshals
@@ -158,7 +148,7 @@ func TestSharedStructureAliasSafety(t *testing.T) {
 		for k := 0; k < n; k++ {
 			nd := bounded.New(k, tr(k), bounded.Config{MaxInt: 6, Runtime: aliasRuntimeOpts()})
 			nd.Start()
-			nodes[k] = boundedAlias{nd, func(rng *rand.Rand) { nd.Inner().Corrupt(rng) }}
+			nodes[k] = nd // Corrupt scrambles the wrapped algorithm's state
 		}
 		return nodes
 	}
@@ -167,7 +157,7 @@ func TestSharedStructureAliasSafety(t *testing.T) {
 		for k := 0; k < n; k++ {
 			nd := bounded.NewDelta(k, tr(k), 1, bounded.Config{MaxInt: 6, Runtime: aliasRuntimeOpts()})
 			nd.Start()
-			nodes[k] = boundedAlias{nd, func(rng *rand.Rand) { nd.InnerDelta().Corrupt(rng) }}
+			nodes[k] = nd // Corrupt scrambles the wrapped algorithm's state
 		}
 		return nodes
 	}
