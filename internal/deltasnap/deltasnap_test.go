@@ -371,3 +371,42 @@ func TestWritesProceedDuringSnapshotDeltaLarge(t *testing.T) {
 		t.Errorf("writes throttled without any snapshot: %d", writes.Load()-base)
 	}
 }
+
+// TestWriteAfterLowTSFaultIsNotLost: the write a client invokes right after
+// a transient fault left ts below reg[i].ts must not be lost. The on-demand
+// iteration that serves it runs no cleaning (lines 73–78 recur only every
+// LoopInterval), so the write step itself takes ts ← max(ts, reg[i].ts)+1,
+// a no-op in a legal state. The loop interval is long so that no tick
+// repairs ts first.
+func TestWriteAfterLowTSFaultIsNotLost(t *testing.T) {
+	net := netsim.New(netsim.Config{N: 3, Seed: 13})
+	nodes := make([]*Node, 3)
+	for i := range nodes {
+		nodes[i] = New(i, net, Config{Delta: 2, Runtime: node.Options{LoopInterval: 10 * time.Second}})
+		nodes[i].Start()
+	}
+	t.Cleanup(func() {
+		for _, nd := range nodes {
+			nd.Close()
+		}
+		net.Close()
+	})
+	for i := 0; i < 5; i++ {
+		if err := nodes[0].Write(types.Value(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nodes[0].mu.Lock()
+	nodes[0].k.TS = 0
+	nodes[0].mu.Unlock()
+	if err := nodes[0].Write(types.Value("x")); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := nodes[1].Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap[0].TS != 6 || string(snap[0].Val) != "x" {
+		t.Fatalf("write after the fault was lost: node 1 sees %v, want (\"x\",6)", snap[0])
+	}
+}
