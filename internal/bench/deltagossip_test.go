@@ -1,12 +1,6 @@
 package bench
 
-import (
-	"encoding/json"
-	"os"
-	"strconv"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestDeltaGossipReductionFloor is the cheap always-on acceptance check:
 // at the quick grid the delta mode must cut idle gossip bandwidth by at
@@ -28,48 +22,9 @@ func TestDeltaGossipReductionFloor(t *testing.T) {
 // committed baseline should then be regenerated with
 // `go run ./cmd/benchrunner -exp deltagossip -json` to ratchet the bar.
 func TestDeltaGossipRegressionGuard(t *testing.T) {
-	if os.Getenv("DELTAGOSSIP_GUARD") == "" {
-		t.Skip("set DELTAGOSSIP_GUARD=1 to compare against the committed baseline")
-	}
-	raw, err := os.ReadFile("../../BENCH_deltagossip.json")
-	if err != nil {
-		t.Fatalf("committed baseline missing: %v", err)
-	}
-	var base Report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	if base.Quick || len(base.Tables) != 1 {
-		t.Fatalf("baseline must be a full (non-quick) single-table run, got quick=%v tables=%d",
-			base.Quick, len(base.Tables))
-	}
-
-	fresh := RunDeltaGossip(Params{})[0]
-	baseT := base.Tables[0]
-	if len(fresh.Rows) != len(baseT.Rows) {
-		t.Fatalf("grid changed: %d rows vs %d in baseline — regenerate the baseline", len(fresh.Rows), len(baseT.Rows))
-	}
-
-	cell := func(row []string, col int) float64 {
-		v, err := strconv.ParseFloat(strings.TrimSuffix(row[col], "x"), 64)
-		if err != nil {
-			t.Fatalf("unparseable cell %q: %v", row[col], err)
-		}
-		return v
-	}
-	for i, got := range fresh.Rows {
-		want := baseT.Rows[i]
-		if got[0] != want[0] || got[1] != want[1] {
-			t.Fatalf("row %d grid mismatch: (n=%s, ν=%s) vs baseline (n=%s, ν=%s)", i, got[0], got[1], want[0], want[1])
-		}
-		// Columns 2 and 3 are full and delta bytes/tick; both are guarded so
-		// a regression in either mode (or in the ack overhead) is caught.
-		for col, name := range map[int]string{2: "full", 3: "delta"} {
-			g, w := cell(got, col), cell(want, col)
-			if g > w*1.10 {
-				t.Errorf("n=%s ν=%s: %s gossip regressed to %.1f B/tick, baseline %.1f (+%.1f%%)",
-					got[0], got[1], name, g, w, 100*(g/w-1))
-			}
-		}
-	}
+	base := loadGuardBaseline(t, "DELTAGOSSIP_GUARD", "deltagossip", 1)
+	// Columns 2 and 3 are full and delta bytes/tick; both are guarded so a
+	// regression in either mode (or in the ack overhead) is caught.
+	guardTable(t, RunDeltaGossip(Params{})[0], base.Tables[0], []int{0, 1},
+		[]guarded{{col: 2}, {col: 3}})
 }

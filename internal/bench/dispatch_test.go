@@ -1,12 +1,6 @@
 package bench
 
-import (
-	"encoding/json"
-	"os"
-	"strconv"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestDispatchSpeedupFloor is the cheap always-on acceptance check for the
 // sharded-dispatch tentpole: at 4 shards the mixed workload must move at
@@ -33,52 +27,10 @@ func TestDispatchSpeedupFloor(t *testing.T) {
 // regenerated with `go run ./cmd/benchrunner -exp dispatch -json` to
 // ratchet the bar.
 func TestDispatchRegressionGuard(t *testing.T) {
-	if os.Getenv("DISPATCH_GUARD") == "" {
-		t.Skip("set DISPATCH_GUARD=1 to compare against the committed baseline")
-	}
-	raw, err := os.ReadFile("../../BENCH_dispatch.json")
-	if err != nil {
-		t.Fatalf("committed baseline missing: %v", err)
-	}
-	var base Report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	if base.Quick || len(base.Tables) != 1 {
-		t.Fatalf("baseline must be a full (non-quick) single-table run, got quick=%v tables=%d",
-			base.Quick, len(base.Tables))
-	}
-
-	fresh := RunDispatch(Params{})[0]
-	baseT := base.Tables[0]
-	if len(fresh.Rows) != len(baseT.Rows) {
-		t.Fatalf("grid changed: %d rows vs %d in baseline — regenerate the baseline", len(fresh.Rows), len(baseT.Rows))
-	}
-
-	cell := func(row []string, col int) float64 {
-		s := strings.TrimSuffix(strings.TrimSuffix(row[col], "x"), "ms")
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			t.Fatalf("unparseable cell %q: %v", row[col], err)
-		}
-		return v
-	}
-	for i, got := range fresh.Rows {
-		want := baseT.Rows[i]
-		if got[0] != want[0] || got[2] != want[2] {
-			t.Fatalf("row %d grid mismatch: (shards=%s, msgs=%s) vs baseline (shards=%s, msgs=%s)",
-				i, got[0], got[2], want[0], want[2])
-		}
-		// Column 4 is msg/s (higher is better), column 5 is p99.9 in ms
-		// (lower is better); both are guarded so a throughput loss and a
-		// tail-latency blowup are each caught on their own.
-		if g, w := cell(got, 4), cell(want, 4); g < w*0.90 {
-			t.Errorf("shards=%s: throughput regressed to %.1f msg/s, baseline %.1f (-%.1f%%)",
-				got[0], g, w, 100*(1-g/w))
-		}
-		if g, w := cell(got, 5), cell(want, 5); g > w*1.10 {
-			t.Errorf("shards=%s: p99.9 regressed to %.2fms, baseline %.2fms (+%.1f%%)",
-				got[0], g, w, 100*(g/w-1))
-		}
-	}
+	base := loadGuardBaseline(t, "DISPATCH_GUARD", "dispatch", 1)
+	// Column 4 is msg/s (higher is better), column 5 is p99.9 in ms (lower
+	// is better); both are guarded so a throughput loss and a tail-latency
+	// blowup are each caught on their own.
+	guardTable(t, RunDispatch(Params{})[0], base.Tables[0], []int{0, 2},
+		[]guarded{{col: 4, higherBetter: true}, {col: 5}})
 }

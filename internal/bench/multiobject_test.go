@@ -1,12 +1,6 @@
 package bench
 
-import (
-	"encoding/json"
-	"os"
-	"strconv"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestMultiObjectScalingFloor is the cheap always-on acceptance check for
 // the multi-object tentpole's throughput half: at a 64-object mix the
@@ -48,70 +42,14 @@ func TestMultiObjectIsolationFloor(t *testing.T) {
 // deltagossip guards; improvements pass, and the baseline is regenerated
 // with `go run ./cmd/benchrunner -exp multiobject -json` to ratchet.
 func TestMultiObjectRegressionGuard(t *testing.T) {
-	if os.Getenv("MULTIOBJECT_GUARD") == "" {
-		t.Skip("set MULTIOBJECT_GUARD=1 to compare against the committed baseline")
-	}
-	raw, err := os.ReadFile("../../BENCH_multiobject.json")
-	if err != nil {
-		t.Fatalf("committed baseline missing: %v", err)
-	}
-	var base Report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	if base.Quick || len(base.Tables) != 2 {
-		t.Fatalf("baseline must be a full (non-quick) two-table run, got quick=%v tables=%d",
-			base.Quick, len(base.Tables))
-	}
-
+	base := loadGuardBaseline(t, "MULTIOBJECT_GUARD", "multiobject", 2)
 	fresh := RunMultiObject(Params{})
-	cell := func(row []string, col int) float64 {
-		s := strings.TrimSuffix(strings.TrimSuffix(row[col], "x"), "ms")
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			t.Fatalf("unparseable cell %q: %v", row[col], err)
-		}
-		return v
-	}
-
-	scaling, baseScaling := fresh[0], base.Tables[0]
-	if len(scaling.Rows) != len(baseScaling.Rows) {
-		t.Fatalf("scaling grid changed: %d rows vs %d in baseline — regenerate the baseline",
-			len(scaling.Rows), len(baseScaling.Rows))
-	}
-	for i, got := range scaling.Rows {
-		want := baseScaling.Rows[i]
-		if got[0] != want[0] || got[1] != want[1] || got[3] != want[3] {
-			t.Fatalf("scaling row %d grid mismatch: (shards=%s, objects=%s, msgs=%s) vs baseline (%s, %s, %s)",
-				i, got[0], got[1], got[3], want[0], want[1], want[3])
-		}
-		// Column 5 is msg/s (higher is better), column 6 is p99.9 in ms
-		// (lower is better).
-		if g, w := cell(got, 5), cell(want, 5); g < w*0.90 {
-			t.Errorf("shards=%s: aggregate throughput regressed to %.1f msg/s, baseline %.1f (-%.1f%%)",
-				got[0], g, w, 100*(1-g/w))
-		}
-		if g, w := cell(got, 6), cell(want, 6); g > w*1.10 {
-			t.Errorf("shards=%s: p99.9 regressed to %.2fms, baseline %.2fms (+%.1f%%)",
-				got[0], g, w, 100*(g/w-1))
-		}
-	}
-
-	iso, baseIso := fresh[1], base.Tables[1]
-	if len(iso.Rows) != len(baseIso.Rows) {
-		t.Fatalf("isolation rows changed: %d vs %d in baseline — regenerate the baseline",
-			len(iso.Rows), len(baseIso.Rows))
-	}
-	for i, got := range iso.Rows {
-		want := baseIso.Rows[i]
-		// Column 4 is cold p99 in ms, column 5 the degradation factor; both
-		// lower is better.
-		if g, w := cell(got, 4), cell(want, 4); g > w*1.10 {
-			t.Errorf("%s: cold p99 regressed to %.2fms, baseline %.2fms (+%.1f%%)",
-				got[0], g, w, 100*(g/w-1))
-		}
-		if g, w := cell(got, 5), cell(want, 5); g > w*1.10 {
-			t.Errorf("%s: isolation degraded to %.1fx, baseline %.1fx", got[0], g, w)
-		}
-	}
+	// Scaling: column 5 is msg/s (higher is better), column 6 is p99.9 in
+	// ms (lower is better).
+	guardTable(t, fresh[0], base.Tables[0], []int{0, 1, 3},
+		[]guarded{{col: 5, higherBetter: true}, {col: 6}})
+	// Isolation: column 4 is cold p99 in ms, column 5 the degradation
+	// factor; both lower is better.
+	guardTable(t, fresh[1], base.Tables[1], []int{0},
+		[]guarded{{col: 4}, {col: 5}})
 }

@@ -86,18 +86,18 @@ func assertPromMatchesSnapshot(t *testing.T, r io.Reader, s Snapshot) {
 		t.Fatalf("malformed Prometheus text: %v", err)
 	}
 	want := map[string]int64{
-		"selfstabsnap_messages_all_total":      s.Messages,
-		"selfstabsnap_message_bytes_all_total": s.Bytes,
-		"selfstabsnap_drops_total":             s.Drops,
-		"selfstabsnap_dups_total":              s.Dups,
-		"selfstabsnap_evictions_total":         s.Evictions,
-		"selfstabsnap_reconnects_total":        s.Reconnects,
-		"selfstabsnap_write_failures_total":    s.WriteFailures,
-		"selfstabsnap_invalid_types_total":     s.InvalidTypes,
-		"selfstabsnap_invalid_objs_total":      s.InvalidObjs,
-		"selfstabsnap_gossip_full_total":       s.GossipFull,
-		"selfstabsnap_gossip_full_bytes_total": s.GossipFullBytes,
-		"selfstabsnap_gossip_delta_total":      s.GossipDelta,
+		"selfstabsnap_messages_all_total":       s.Messages,
+		"selfstabsnap_message_bytes_all_total":  s.Bytes,
+		"selfstabsnap_drops_total":              s.Drops,
+		"selfstabsnap_dups_total":               s.Dups,
+		"selfstabsnap_evictions_total":          s.Evictions,
+		"selfstabsnap_reconnects_total":         s.Reconnects,
+		"selfstabsnap_write_failures_total":     s.WriteFailures,
+		"selfstabsnap_invalid_types_total":      s.InvalidTypes,
+		"selfstabsnap_invalid_objs_total":       s.InvalidObjs,
+		"selfstabsnap_gossip_full_total":        s.GossipFull,
+		"selfstabsnap_gossip_full_bytes_total":  s.GossipFullBytes,
+		"selfstabsnap_gossip_delta_total":       s.GossipDelta,
 		"selfstabsnap_gossip_delta_bytes_total": s.GossipDeltaBytes,
 		"selfstabsnap_gossip_suppressed_total":  s.GossipSuppressed,
 	}

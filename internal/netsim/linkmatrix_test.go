@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"sync"
 	"testing"
 	"time"
 
+	"selfstabsnap/internal/simclock"
 	"selfstabsnap/internal/wire"
 )
 
@@ -131,25 +133,116 @@ func TestLinkMatrixBandwidthDelay(t *testing.T) {
 	}
 }
 
-// TestSlowNodeFactorRoundTrip: SetNodeSlowdown(…, 1) on every node with no
-// link matrix restores the legacy fast path (nil topology), so a healed
-// cluster's digests match a never-slowed one.
+// delivery is one arrival seen by deliveryLog.
+type delivery struct {
+	to  int
+	ssn int64
+	at  time.Time
+}
+
+// deliveryLog is a TraceHook recording every arrival in order.
+type deliveryLog struct {
+	mu  sync.Mutex
+	got []delivery
+}
+
+func (l *deliveryLog) OnSend(int, int, *wire.Message, time.Time) {}
+
+func (l *deliveryLog) OnDeliver(_, to int, m *wire.Message, at time.Time) {
+	l.mu.Lock()
+	l.got = append(l.got, delivery{to, m.SSN, at})
+	l.mu.Unlock()
+}
+
+// runResult is what seededRun observed: drop and dup counts and the
+// delivery sequence.
+type runResult struct {
+	drops, dups int64
+	got         []delivery
+}
+
+// seededRun builds a network from cfg under a virtual clock, lets reshape
+// adjust it, sends the same 300 messages from node 0 round-robin to every
+// node, and waits out every delay.
+func seededRun(t *testing.T, cfg Config, reshape func(*Network)) (r runResult) {
+	t.Helper()
+	v := simclock.NewVirtual()
+	log := &deliveryLog{}
+	v.Run("test", func() {
+		cfg.Clock, cfg.Trace = v, log
+		n := New(cfg)
+		defer n.Close()
+		if reshape != nil {
+			reshape(n)
+		}
+		for i := 0; i < 300; i++ {
+			n.Send(0, i%cfg.N, &wire.Message{Type: wire.TWrite, SSN: int64(i)})
+		}
+		v.Sleep(time.Minute)
+		r.drops, r.dups = n.Counters().Drops(), n.Counters().Dups()
+	})
+	if r.drops == 0 || r.dups == 0 {
+		t.Fatalf("adversary inactive: drops=%d dups=%d", r.drops, r.dups)
+	}
+	r.got = log.got
+	return r
+}
+
+// sameRun fails unless two seededRun results are identical.
+func sameRun(t *testing.T, what string, a, b runResult) {
+	t.Helper()
+	if a.drops != b.drops || a.dups != b.dups {
+		t.Fatalf("%s: drops/dups (%d,%d) vs (%d,%d)", what, a.drops, a.dups, b.drops, b.dups)
+	}
+	if len(a.got) != len(b.got) {
+		t.Fatalf("%s: %d deliveries vs %d", what, len(a.got), len(b.got))
+	}
+	for i := range a.got {
+		if a.got[i] != b.got[i] {
+			t.Fatalf("%s: delivery %d differs: %+v vs %+v", what, i, a.got[i], b.got[i])
+		}
+	}
+}
+
+var hostile = Adversary{DropProb: 0.2, DupProb: 0.2, MinDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
+
+// TestSlowNodeFactorRoundTrip: slowing a node down and healing it again
+// (factor ≤ 1 clamps to full speed, out-of-range ids are ignored) leaves a
+// network that draws the same drops, dups and delivery order as one that
+// was never slowed, so a healed cluster's digests match a never-slowed one.
 func TestSlowNodeFactorRoundTrip(t *testing.T) {
-	n := New(Config{N: 3, Seed: 1})
-	defer n.Close()
-	if n.topo.Load() != nil {
-		t.Fatal("fresh uniform network has a topology installed")
+	cfg := Config{N: 3, Seed: 1, Adversary: hostile}
+	never := seededRun(t, cfg, nil)
+	healed := seededRun(t, cfg, func(n *Network) {
+		n.SetNodeSlowdown(1, 4)
+		n.SetNodeSlowdown(1, 0.25)
+		n.SetNodeSlowdown(7, 5)
+		if n.topo.Load().slow != nil {
+			t.Error("all-ones slowdown kept a factor table")
+		}
+	})
+	sameRun(t, "healed vs never slowed", never, healed)
+
+	// Still slowed, the same draws arrive later: the heal is what restored
+	// the timing, not a slowdown that never took effect.
+	slowed := seededRun(t, cfg, func(n *Network) { n.SetNodeSlowdown(1, 4) }).got
+	if len(slowed) != len(never.got) || slowed[len(slowed)-1].at.Equal(never.got[len(never.got)-1].at) {
+		t.Error("a slowed node's traffic arrived on the unslowed schedule")
 	}
-	n.SetNodeSlowdown(1, 4)
-	if n.topo.Load() == nil {
-		t.Fatal("slowdown did not install a topology")
+}
+
+// TestUniformAdversaryIsUniformMatrix: a global Adversary and a LinkMatrix
+// whose every entry is that adversary are the same network — same RNG
+// draws, so the same drops, dups and delivery sequence for a seed.
+func TestUniformAdversaryIsUniformMatrix(t *testing.T) {
+	const n = 3
+	m := NewLinkMatrix(n)
+	for i := range m {
+		for j := range m[i] {
+			m[i][j] = LinkProfile{Adversary: hostile}
+		}
 	}
-	n.SetNodeSlowdown(1, 0.25) // below 1 clamps to full speed
-	if n.topo.Load() != nil {
-		t.Error("healed all-ones slowdown did not restore the legacy path")
-	}
-	n.SetNodeSlowdown(7, 5) // out of range: ignored
-	if n.topo.Load() != nil {
-		t.Error("out-of-range slowdown installed a topology")
-	}
+	sameRun(t, "Adversary vs uniform Links",
+		seededRun(t, Config{N: n, Seed: 42, Adversary: hostile}, nil),
+		seededRun(t, Config{N: n, Seed: 42, Links: m}, nil))
 }

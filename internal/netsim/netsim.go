@@ -3,6 +3,10 @@
 // bounded-capacity channel between every pair, no bound on communication
 // delay, and an adversary that may lose, duplicate, and reorder packets.
 //
+// Every directed link has its own adversary profile, held in one N×N
+// LinkMatrix; a uniform Config.Adversary is simply the matrix whose entries
+// are all that profile, and Config.Links overrides the entries it covers.
+//
 // The simulator is an in-memory Transport implementation. Each message send
 // is metered (count and encoded size in bytes) so experiments can verify the
 // paper's communication-complexity claims; an optional per-network trace
@@ -118,8 +122,7 @@ type LinkProfile struct {
 	BandwidthBps int64
 }
 
-// normalized orders the delay pair and clamps the bandwidth, mirroring
-// Adversary.normalized.
+// normalized orders the delay pair and clamps the bandwidth.
 func (p LinkProfile) normalized() LinkProfile {
 	p.Adversary = p.Adversary.normalized()
 	if p.BandwidthBps < 0 {
@@ -135,10 +138,10 @@ func (p LinkProfile) active() bool {
 
 // LinkMatrix assigns a profile to every directed link: entry [from][to]
 // governs messages from node `from` to node `to` (self-links included — a
-// node's broadcast to itself crosses [i][i]). Links the matrix does not
-// cover — a nil matrix, short rows, or out-of-range ids — fall back to the
-// network's global Adversary, so a partial matrix overlays special links on
-// an otherwise uniform network.
+// node's broadcast to itself crosses [i][i]). As Config.Links it may be
+// partial: links it does not cover — a nil matrix, short rows, or
+// out-of-range ids — take the network's global Adversary, so a small matrix
+// overlays special links on an otherwise uniform network.
 type LinkMatrix [][]LinkProfile
 
 // NewLinkMatrix returns an n×n matrix of perfect links.
@@ -151,8 +154,7 @@ func NewLinkMatrix(n int) LinkMatrix {
 }
 
 // At returns the profile of the directed link from→to; ok is false when the
-// matrix does not cover it (the caller should fall back to the global
-// Adversary).
+// matrix does not cover it.
 func (m LinkMatrix) At(from, to int) (LinkProfile, bool) {
 	if from >= 0 && from < len(m) && to >= 0 && to < len(m[from]) {
 		return m[from][to], true
@@ -160,29 +162,12 @@ func (m LinkMatrix) At(from, to int) (LinkProfile, bool) {
 	return LinkProfile{}, false
 }
 
-// normalized returns a deep copy with every profile normalized.
-func (m LinkMatrix) normalized() LinkMatrix {
-	if m == nil {
-		return nil
-	}
-	c := make(LinkMatrix, len(m))
-	for i, row := range m {
-		c[i] = make([]LinkProfile, len(row))
-		for j, p := range row {
-			c[i][j] = p.normalized()
-		}
-	}
-	return c
-}
-
-// topology is the copy-on-write hostile-topology state of a network:
-// per-link profiles and per-node delay-inflation factors. A nil topology
-// pointer means the legacy uniform-adversary fast path — configs that never
-// set Links or a slowdown take exactly the pre-LinkMatrix code path, so
-// their seeded executions (and chaos digests) are bit-for-bit unchanged.
+// topology is the copy-on-write link state of a network: the normalized
+// N×N profile of every directed link and the per-node delay-inflation
+// factors.
 type topology struct {
-	links LinkMatrix // may be nil: per-node slowdowns over a uniform net
-	slow  []float64  // per-node factor ≥ 1; nil means all 1
+	links LinkMatrix
+	slow  []float64 // per-node factor ≥ 1; nil means all 1
 }
 
 // Config parameterises a simulated network.
@@ -190,10 +175,10 @@ type Config struct {
 	N         int       // number of nodes (ids 0..N-1)
 	Seed      int64     // seed for all adversarial randomness
 	InboxCap  int       // bounded channel capacity per node (default 4096)
-	Adversary Adversary // link misbehaviour (fallback when Links doesn't cover a link)
+	Adversary Adversary // misbehaviour of every link Links does not cover
 	// Links, when non-nil, assigns per-directed-link adversary profiles;
-	// links it does not cover use the global Adversary. Profiles are
-	// normalized at construction exactly like the global Adversary.
+	// links it does not cover use the global Adversary. Every profile is
+	// normalized at construction.
 	Links LinkMatrix
 	Trace TraceHook // optional send/deliver observer (may be nil)
 
@@ -226,14 +211,13 @@ type Network struct {
 
 	// The adversary's RNG has its own lock so random draws never extend the
 	// global critical section: n.mu is held only for the blocked/seq/closed
-	// check, and concurrent senders contend on rngMu alone (not at all when
-	// the adversary is inactive).
+	// check, and concurrent senders contend on rngMu alone (not at all on
+	// links whose profile is inactive).
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// Hostile topology (per-link profiles, per-node slowdowns), published
-	// copy-on-write so the send hot path reads it with one atomic load.
-	// nil = the legacy uniform-adversary path, taken unchanged.
+	// Link profiles and per-node slowdowns, published copy-on-write so the
+	// send hot path reads them with one atomic load; never nil after New.
 	topoMu sync.Mutex // serializes topology updates
 	topo   atomic.Pointer[topology]
 
@@ -248,13 +232,23 @@ type Network struct {
 	loopWg    *simclock.Group
 }
 
-// New creates a simulated network for cfg.N nodes. The adversary's delay
-// bounds are normalized (swapped if misordered, clamped non-negative).
+// New creates a simulated network for cfg.N nodes. Every link profile's
+// delay bounds are normalized (swapped if misordered, clamped non-negative).
 func New(cfg Config) *Network {
 	if cfg.InboxCap <= 0 {
 		cfg.InboxCap = 4096
 	}
 	cfg.Adversary = cfg.Adversary.normalized()
+	links := NewLinkMatrix(cfg.N)
+	for i := range links {
+		for j := range links[i] {
+			p, ok := cfg.Links.At(i, j)
+			if !ok {
+				p = LinkProfile{Adversary: cfg.Adversary}
+			}
+			links[i][j] = p.normalized()
+		}
+	}
 	clk := simclock.Or(cfg.Clock)
 	n := &Network{
 		cfg:     cfg,
@@ -266,9 +260,7 @@ func New(cfg Config) *Network {
 		loopWg:  clk.NewGroup(),
 	}
 	n.waitIdle = []simclock.Waitable{n.done, n.wake}
-	if cfg.Links != nil {
-		n.topo.Store(&topology{links: cfg.Links.normalized()})
-	}
+	n.topo.Store(&topology{links: links})
 	n.inboxes = make([]*mailbox.Queue[*wire.Message], cfg.N)
 	for i := range n.inboxes {
 		n.inboxes[i] = mailbox.NewClocked[*wire.Message](clk, cfg.InboxCap)
@@ -297,42 +289,16 @@ func (n *Network) admit(from, to int) (seq uint64, ok bool) {
 	return n.seq, true
 }
 
-// adversaryDraw samples one transmission's fate: how many copies arrive
-// (0 = dropped, 2 = duplicated) and each copy's delivery delay. When the
-// adversary is inactive the RNG is not consulted at all, so concurrent
-// senders on a perfect network synchronize only on admit's short critical
-// section. delays has room for the duplicated copy; only delays[:copies]
-// is meaningful.
-func (n *Network) adversaryDraw() (copies int, delays [2]time.Duration) {
-	a := n.cfg.Adversary
-	if a.DropProb == 0 && a.DupProb == 0 && a.MaxDelay <= a.MinDelay {
-		return 1, [2]time.Duration{a.MinDelay, a.MinDelay}
-	}
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
-	copies = 1
-	if a.DropProb > 0 && n.rng.Float64() < a.DropProb {
-		copies = 0
-	} else if a.DupProb > 0 && n.rng.Float64() < a.DupProb {
-		copies = 2
-	}
-	for i := 0; i < copies; i++ {
-		delays[i] = a.delay(n.rng)
-	}
-	return copies, delays
-}
-
-// drawFor samples one transmission's fate on the directed link from→to.
-// With no topology installed it is exactly adversaryDraw; otherwise the
-// link's own profile (or the global Adversary where the matrix doesn't
-// cover the link) governs the draw, a bandwidth bound adds a
-// size-proportional serialization delay, and the endpoints' slowdown
-// factors inflate every copy's delay multiplicatively.
+// drawFor samples one transmission's fate on the directed link from→to: how
+// many copies arrive (0 = dropped, 2 = duplicated) and each copy's delivery
+// delay. An inactive profile never consults the RNG, so concurrent senders
+// on perfect links synchronize only on admit's short critical section. A
+// bandwidth bound adds a size-proportional serialization delay, and the
+// endpoints' slowdown factors inflate every copy's delay multiplicatively.
+// delays has room for the duplicated copy; only delays[:copies] is
+// meaningful.
 func (n *Network) drawFor(from, to, size int) (copies int, delays [2]time.Duration) {
 	t := n.topo.Load()
-	if t == nil {
-		return n.adversaryDraw()
-	}
 	p, ok := t.links.At(from, to)
 	if !ok {
 		p = LinkProfile{Adversary: n.cfg.Adversary}
@@ -365,54 +331,20 @@ func (n *Network) drawFor(from, to, size int) (copies int, delays [2]time.Durati
 			factor *= t.slow[to]
 		}
 	}
-	if ser > 0 || factor != 1 {
-		for i := 0; i < copies; i++ {
-			d := delays[i] + ser
-			if factor != 1 {
-				d = time.Duration(float64(d) * factor)
-			}
-			delays[i] = d
+	for i := 0; i < copies; i++ {
+		d := delays[i] + ser
+		if factor != 1 {
+			d = time.Duration(float64(d) * factor)
 		}
+		delays[i] = d
 	}
 	return copies, delays
-}
-
-// SetLinkProfile installs (or replaces) the profile of the directed link
-// from→to, growing the matrix to N×N if it doesn't cover the link yet —
-// uncovered links keep falling back to the global Adversary until touched.
-// Updates are copy-on-write: in-flight draws keep the topology they loaded.
-func (n *Network) SetLinkProfile(from, to int, p LinkProfile) {
-	if from < 0 || from >= n.cfg.N || to < 0 || to >= n.cfg.N {
-		return
-	}
-	n.topoMu.Lock()
-	defer n.topoMu.Unlock()
-	cur := n.topo.Load()
-	next := &topology{}
-	if cur != nil {
-		next.slow = cur.slow
-		next.links = cur.links
-	}
-	grown := NewLinkMatrix(n.cfg.N)
-	for i := range grown {
-		for j := range grown[i] {
-			if q, ok := next.links.At(i, j); ok {
-				grown[i][j] = q
-			} else {
-				grown[i][j] = LinkProfile{Adversary: n.cfg.Adversary}
-			}
-		}
-	}
-	grown[from][to] = p.normalized()
-	next.links = grown
-	n.topo.Store(next)
 }
 
 // SetNodeSlowdown inflates every delay on node id's links (both directions)
 // by factor — the slow-but-alive nemesis: the node keeps taking steps and
 // is never counted as crashed, but all its traffic crawls. factor ≤ 1
-// restores full speed; when the whole topology returns to baseline the
-// legacy fast path is reinstated.
+// restores full speed.
 func (n *Network) SetNodeSlowdown(id int, factor float64) {
 	if id < 0 || id >= n.cfg.N {
 		return
@@ -423,35 +355,23 @@ func (n *Network) SetNodeSlowdown(id int, factor float64) {
 	n.topoMu.Lock()
 	defer n.topoMu.Unlock()
 	cur := n.topo.Load()
-	next := &topology{}
-	if cur != nil {
-		next.links = cur.links
-		if cur.slow != nil {
-			next.slow = append([]float64(nil), cur.slow...)
-		}
-	}
-	if next.slow == nil {
-		next.slow = make([]float64, n.cfg.N)
-		for i := range next.slow {
-			next.slow[i] = 1
-		}
-	}
-	next.slow[id] = factor
+	slow := make([]float64, n.cfg.N)
 	allOne := true
-	for _, f := range next.slow {
-		if f != 1 {
-			allOne = false
-			break
+	for i := range slow {
+		switch {
+		case i == id:
+			slow[i] = factor
+		case cur.slow != nil:
+			slow[i] = cur.slow[i]
+		default:
+			slow[i] = 1
 		}
+		allOne = allOne && slow[i] == 1
 	}
 	if allOne {
-		next.slow = nil
-		if next.links == nil {
-			n.topo.Store(nil)
-			return
-		}
+		slow = nil
 	}
-	n.topo.Store(next)
+	n.topo.Store(&topology{links: cur.links, slow: slow})
 }
 
 // dispatch routes one envelope (and its adversarial duplicate, if any) to
@@ -471,6 +391,39 @@ func (n *Network) dispatch(from, to int, env *wire.Message, copies int, delays [
 	}
 }
 
+// sendOne is the per-recipient step shared by Send and SendMany: it admits
+// one transmission of m (size bytes) on the link from→to, draws its fate,
+// and traces and dispatches a fresh envelope unless the adversary lost it
+// and nobody traces. It meters nothing but drops and duplicates; sent
+// reports whether the transmission was admitted, so the caller can meter
+// it.
+func (n *Network) sendOne(from, to int, m *wire.Message, size int) (sent bool) {
+	if to < 0 || to >= n.cfg.N {
+		return false
+	}
+	seq, ok := n.admit(from, to)
+	if !ok {
+		return false
+	}
+	copies, delays := n.drawFor(from, to, size)
+	switch copies {
+	case 0:
+		n.counters.RecordDrop()
+	case 2:
+		n.counters.RecordDup()
+	}
+	if copies == 0 && n.cfg.Trace == nil {
+		return true
+	}
+	env := m.ShallowClone()
+	env.From, env.To, env.Seq = int32(from), int32(to), seq
+	if n.cfg.Trace != nil {
+		n.cfg.Trace.OnSend(from, to, env, n.clk.Now())
+	}
+	n.dispatch(from, to, env, copies, delays)
+	return true
+}
+
 // Send transmits a copy-on-write snapshot of m, subject to the adversary:
 // the envelope may be dropped, duplicated, and delayed (delays reorder
 // messages relative to each other). The snapshot is a shallow clone — the
@@ -480,35 +433,12 @@ func (n *Network) dispatch(from, to int, env *wire.Message, copies int, delays [
 // Sending to self is delivered like any other message, as in the paper's
 // model where a node's broadcast includes itself.
 func (n *Network) Send(from, to int, m *wire.Message) {
-	if to < 0 || to >= n.cfg.N {
-		return
-	}
-	seq, ok := n.admit(from, to)
-	if !ok {
-		return
-	}
-	size := m.Size()
-	copies, delays := n.drawFor(from, to, size)
-	switch copies {
-	case 0:
-		n.counters.RecordDrop()
-	case 2:
-		n.counters.RecordDup()
-	}
-
 	// A send is metered even when the adversary loses it: the paper counts
 	// transmissions, and losses surface separately as drops.
-	if copies == 0 && n.cfg.Trace == nil {
+	size := m.Size()
+	if n.sendOne(from, to, m, size) {
 		n.counters.RecordSend(m.Type, size)
-		return
 	}
-	c := m.ShallowClone()
-	c.From, c.To, c.Seq = int32(from), int32(to), seq
-	n.counters.RecordSend(c.Type, size)
-	if n.cfg.Trace != nil {
-		n.cfg.Trace.OnSend(from, to, c, n.clk.Now())
-	}
-	n.dispatch(from, to, c, copies, delays)
 }
 
 // SendMany transmits m from node `from` to every node in `to`, equivalently
@@ -522,34 +452,12 @@ func (n *Network) SendMany(from int, to []int, m *wire.Message) {
 	if len(to) == 0 {
 		return
 	}
-	master := m.ShallowClone()
-	size := master.Size()
+	size := m.Size()
 	sent := 0
 	for _, k := range to {
-		if k < 0 || k >= n.cfg.N {
-			continue
+		if n.sendOne(from, k, m, size) {
+			sent++
 		}
-		seq, ok := n.admit(from, k)
-		if !ok {
-			continue
-		}
-		sent++
-		copies, delays := n.drawFor(from, k, size)
-		switch copies {
-		case 0:
-			n.counters.RecordDrop()
-		case 2:
-			n.counters.RecordDup()
-		}
-		if copies == 0 && n.cfg.Trace == nil {
-			continue
-		}
-		env := master.ShallowClone()
-		env.From, env.To, env.Seq = int32(from), int32(k), seq
-		if n.cfg.Trace != nil {
-			n.cfg.Trace.OnSend(from, k, env, n.clk.Now())
-		}
-		n.dispatch(from, k, env, copies, delays)
 	}
 	if sent > 0 {
 		n.counters.RecordSendMany(m.Type, sent, size)

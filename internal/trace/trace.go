@@ -42,9 +42,9 @@ type Recorder struct {
 	clk     simclock.Clock
 	mu      sync.Mutex
 	events  []Event
-	head    int    // ring start when limit > 0 and the buffer is full
-	limit   int    // 0 = unbounded
-	dropped uint64 // events overwritten since the last Reset
+	head    int                // ring start when limit > 0 and the buffer is full
+	limit   int                // 0 = unbounded
+	dropped uint64             // events overwritten since the last Reset
 	filter  map[wire.Type]bool // nil = record everything
 }
 
