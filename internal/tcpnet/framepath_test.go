@@ -20,9 +20,20 @@ func rawFrame(payload []byte) []byte {
 	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
-// dialRaw opens a plain TCP connection to tr's listener, standing in for a
-// peer whose bytes the test controls.
-func dialRaw(t *testing.T, tr *Transport) net.Conn {
+// dialRaw opens a plain TCP connection to tr's listener and sends the hello
+// of node id, standing in for a peer whose bytes the test controls.
+func dialRaw(t *testing.T, tr *Transport, id uint32) net.Conn {
+	t.Helper()
+	conn := dialPlain(t, tr)
+	if _, err := conn.Write(binary.LittleEndian.AppendUint32(nil, id)); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// dialPlain opens a plain TCP connection to tr's listener and sends
+// nothing.
+func dialPlain(t *testing.T, tr *Transport) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", tr.Addr())
 	if err != nil {
@@ -100,28 +111,28 @@ func TestFrameLargerThanReadWindow(t *testing.T) {
 // middle one with an invalid type byte. It is dropped; its neighbours are
 // delivered in order, so the length prefix kept the stream in step.
 func TestCorruptedFrameBetweenGoodFrames(t *testing.T) {
-	m, err := NewMesh(1)
+	m, err := NewMesh(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	conn := dialRaw(t, m.Transports[0])
+	conn := dialRaw(t, m.Transports[0], 1)
 
 	reg := types.RegVector{{TS: 1, Val: types.Value("same-bytes")}}
 	bad := wire.Marshal(&wire.Message{Type: wire.TWrite, SSN: 2, Reg: reg})
 	bad[0] = 0xEE
 	var stream []byte
-	stream = append(stream, rawFrame(wire.Marshal(&wire.Message{Type: wire.TWrite, From: 3, SSN: 1, Reg: reg}))...)
+	stream = append(stream, rawFrame(wire.Marshal(&wire.Message{Type: wire.TWrite, From: 1, SSN: 1, Reg: reg}))...)
 	stream = append(stream, rawFrame(bad)...)
-	stream = append(stream, rawFrame(wire.Marshal(&wire.Message{Type: wire.TWriteAck, From: 3, SSN: 3, Reg: reg}))...)
+	stream = append(stream, rawFrame(wire.Marshal(&wire.Message{Type: wire.TWriteAck, From: 1, SSN: 3, Reg: reg}))...)
 	if _, err := conn.Write(stream); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, want := range []int64{1, 3} {
 		got, ok := recvWithTimeout(t, m.Transports[0], 0)
-		if !ok || got.SSN != want || got.From != 3 || got.To != 0 {
-			t.Fatalf("want SSN %d from 3, got %+v ok=%v", want, got, ok)
+		if !ok || got.SSN != want || got.From != 1 || got.To != 0 {
+			t.Fatalf("want SSN %d from 1, got %+v ok=%v", want, got, ok)
 		}
 		if string(got.Reg[0].Val) != "same-bytes" {
 			t.Fatalf("SSN %d: payload %q", want, got.Reg[0].Val)
@@ -136,13 +147,13 @@ func TestCorruptedFrameBetweenGoodFrames(t *testing.T) {
 // only be corruption, and nothing after it can be trusted to be a frame
 // boundary, so the transport closes the connection.
 func TestBadLengthPrefixClosesConnection(t *testing.T) {
-	m, err := NewMesh(1)
+	m, err := NewMesh(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
 	for name, n := range map[string]uint32{"zero": 0, "over maxFrame": maxFrame + 1} {
-		conn := dialRaw(t, m.Transports[0])
+		conn := dialRaw(t, m.Transports[0], 1)
 		if _, err := conn.Write(binary.LittleEndian.AppendUint32(nil, n)); err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +164,7 @@ func TestBadLengthPrefixClosesConnection(t *testing.T) {
 		}
 	}
 	// The transport itself is unharmed.
-	conn := dialRaw(t, m.Transports[0])
+	conn := dialRaw(t, m.Transports[0], 1)
 	if _, err := conn.Write(rawFrame(wire.Marshal(&wire.Message{Type: wire.TGossip, SNS: 7}))); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +248,8 @@ func TestSharedFramesNeverRecycledWhileQueued(t *testing.T) {
 	sendersDone := make(chan struct{})
 
 	// The slow peer speaks the frame format by hand, one connection after
-	// another (the sender redials after an abandoned write).
+	// another (the sender redials after an abandoned write), each opened by
+	// the sender's hello.
 	slowLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -254,6 +266,14 @@ func TestSharedFramesNeverRecycledWhileQueued(t *testing.T) {
 				return
 			}
 			br := bufio.NewReader(conn)
+			var hello [4]byte
+			if _, err := io.ReadFull(br, hello[:]); err != nil {
+				conn.Close()
+				continue
+			}
+			if id := binary.LittleEndian.Uint32(hello[:]); id != 0 {
+				t.Errorf("peer %d: hello names node %d, want the sender 0", slow, id)
+			}
 			for {
 				var hdr [4]byte
 				if _, err := io.ReadFull(br, hdr[:]); err != nil {

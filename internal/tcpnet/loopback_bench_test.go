@@ -19,13 +19,14 @@ import (
 // one register entry at ν = 1024, 5 286 B the 5-entry vector every WRITE,
 // SNAPSHOT and ack carries.
 //
-// "two-conns" is tcpnet's shape — each direction has its own connection,
-// dialled by its sender; "one-conn" sends both directions over one.
+// "one-conn" is tcpnet's shape — both directions of a node pair share one
+// connection; "two-conns" is its old one, each direction on its own
+// connection dialled by its sender.
 //
-// It exists to scope the next tcpnet change (EXPERIMENTS.md "Loopback
-// frame cost"): if cpu-µs/frame barely moves between 300 B and 5 286 B,
-// the read/writev share of tcp-alg1's profile is paid per frame, not per
-// byte, and shipping fewer bytes per frame will not recover it.
+// It sized the tcpnet changes recorded in EXPERIMENTS.md "Loopback frame
+// cost": cpu-µs/frame barely moves between 300 B and 5 286 B, so the
+// read/writev share of tcp-alg1's profile is paid per frame, not per byte,
+// and one connection per pair is cheaper per frame than two.
 func BenchmarkLoopbackFrameSize(b *testing.B) {
 	for _, shape := range []string{"two-conns", "one-conn"} {
 		for _, size := range []int{300, 1300, 5286} {

@@ -4,6 +4,19 @@
 // across actual sockets — one node per process (cmd/tcpnode) or a whole
 // cluster on localhost (examples/tcpcluster).
 //
+// Each unordered pair of nodes {i, j} shares one TCP connection, used for
+// frames in both directions — the paper's §2 bidirectional channel, so a
+// request and its acknowledgment travel on one socket and the kernel's ACKs
+// ride on data segments. Either node dials lazily, on its first frame for the
+// other, and opens the connection with a hello: its own node id, 4 bytes
+// little-endian, before any frame. The acceptor reads the hello within
+// DialTimeout and closes the connection if the id is missing, out of range or
+// its own. When both nodes dial at once, the connection the lower id dialled
+// wins: the higher id half-closes its own and keeps reading it until the peer
+// closes its end, so no frame written on either connection is lost. TCP keeps
+// each connection FIFO; a frame still in flight on a retired connection may
+// arrive after a newer one sent on the winner, which §2's channels allow.
+//
 // Failure semantics deliberately mirror the paper's §2 channel model, and
 // are identical to the in-memory simulator's (asserted by the shared
 // conformance test in internal/transporttest):
@@ -115,19 +128,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// peer is the outbound side of one link: a bounded drop-oldest queue of
-// encoded frames drained by a dedicated writer goroutine, plus the
-// connection (if up) and its redial backoff state. Only the writer dials
-// and writes, so senders never touch the socket; the mutex exists so
-// signalClose can yank the connection out from under a blocked write.
+// peer is this node's side of the link to one other node: a bounded
+// drop-oldest queue of encoded frames drained by a dedicated writer
+// goroutine, the connection frames are written on (if up) and the redial
+// backoff state. Only the writer dials and writes, so senders never touch
+// the socket; the mutex orders the writer against adopt and against the
+// readLoop that clears a dead link.
 type peer struct {
 	outbox *mailbox.Queue[*frame] // nil for the self peer (loopback skips sockets)
 
-	mu       sync.Mutex
-	conn     net.Conn
-	deadline time.Time // write deadline armed on conn; zero on a fresh connection
+	// Touched by the writer goroutine alone.
 	backoff  time.Duration
 	nextDial time.Time
+
+	mu       sync.Mutex
+	conn     net.Conn  // the link; nil until dialled or accepted, and after it dies
+	dialled  bool      // conn was dialled by this node, not accepted
+	deadline time.Time // write deadline armed on conn; zero on a fresh connection
 }
 
 // frame is one encoded outbound message: 4-byte little-endian payload
@@ -176,10 +193,10 @@ type Transport struct {
 	listener net.Listener
 	counters metrics.Counters
 
-	mu       sync.Mutex // guards closed, rng and accepted
-	rng      *rand.Rand // backoff jitter
-	closed   bool
-	accepted map[net.Conn]struct{} // inbound conns, closed on shutdown
+	mu     sync.Mutex // guards closed, rng and conns
+	rng    *rand.Rand // backoff jitter
+	closed bool
+	conns  map[net.Conn]struct{} // every open connection, dialled or accepted; closed on shutdown
 
 	peers []*peer
 	inbox *mailbox.Queue[*wire.Message]
@@ -187,9 +204,11 @@ type Transport struct {
 }
 
 // New creates a transport with default Options for node self of the
-// cluster whose node i listens on addrs[i], and starts listening. Peers
-// are dialed lazily on first send and re-dialed with backoff after
-// failures.
+// cluster whose node i listens on addrs[i], and starts listening. Each pair
+// of nodes shares one connection: whichever side sends first dials it,
+// introducing itself with its id, and the other adopts it for its own
+// frames. When both dial at once the lower id's connection wins. A link
+// that dies is re-dialed, with backoff after failures, on the next frame.
 func New(self int, addrs []string) (*Transport, error) {
 	return NewWithOptions(self, addrs, Options{})
 }
@@ -203,6 +222,12 @@ func NewWithOptions(self int, addrs []string, opts Options) (*Transport, error) 
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", addrs[self], err)
 	}
+	return newTransport(self, addrs, ln, opts), nil
+}
+
+// newTransport starts node self's transport on ln, already bound to its
+// address.
+func newTransport(self int, addrs []string, ln net.Listener, opts Options) *Transport {
 	opts = opts.withDefaults()
 	t := &Transport{
 		self:     self,
@@ -210,7 +235,7 @@ func NewWithOptions(self int, addrs []string, opts Options) (*Transport, error) 
 		opts:     opts,
 		listener: ln,
 		rng:      rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(self)<<32)),
-		accepted: make(map[net.Conn]struct{}),
+		conns:    make(map[net.Conn]struct{}),
 		peers:    make([]*peer, len(addrs)),
 		inbox:    mailbox.New[*wire.Message](opts.InboxCap),
 	}
@@ -225,7 +250,7 @@ func NewWithOptions(self int, addrs []string, opts Options) (*Transport, error) 
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
-	return t, nil
+	return t
 }
 
 // Addr returns the address this node actually listens on (useful with
@@ -248,26 +273,87 @@ func (t *Transport) acceptLoop() {
 		if err != nil {
 			return
 		}
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
+		if !t.track(conn) {
 			conn.Close()
 			return
 		}
-		t.accepted[conn] = struct{}{}
-		t.mu.Unlock()
 		t.wg.Add(1)
-		go t.readLoop(conn)
+		go t.serveAccepted(conn)
 	}
 }
 
-func (t *Transport) readLoop(conn net.Conn) {
+// serveAccepted reads an accepted connection's hello — on its own
+// goroutine, so a peer that never sends one cannot hold up acceptLoop —
+// then offers the connection to adopt and reads frames from it.
+func (t *Transport) serveAccepted(conn net.Conn) {
 	defer t.wg.Done()
-	defer func() {
-		t.mu.Lock()
-		delete(t.accepted, conn)
-		t.mu.Unlock()
+	var hello [4]byte
+	conn.SetReadDeadline(time.Now().Add(t.opts.DialTimeout))
+	_, err := io.ReadFull(conn, hello[:])
+	id := binary.LittleEndian.Uint32(hello[:])
+	if err != nil || id >= uint32(len(t.addrs)) || int(id) == t.self {
 		conn.Close()
+		t.untrack(conn)
+		return
+	}
+	conn.SetReadDeadline(time.Time{})
+	t.adopt(conn, int(id))
+	t.readLoop(conn, int(id))
+}
+
+// adopt makes conn, accepted from peer k, the link to k, unless the link
+// is a connection this node dialled and this node's id is the lower: the
+// lower id's dial wins, so two simultaneous dials settle on one connection.
+// A connection of this node's that loses is retired — half-closed, so the
+// peer reads everything written on it and then closes it, which ends the
+// readLoop here. A replaced accepted connection is one its dialler has
+// already given up, and is left to its readLoop.
+func (t *Transport) adopt(conn net.Conn, k int) {
+	p := t.peers[k]
+	p.mu.Lock()
+	old, oldDialled := p.conn, p.dialled
+	if old != nil && oldDialled && t.self < k {
+		p.mu.Unlock()
+		return
+	}
+	p.conn, p.dialled, p.deadline = conn, false, time.Time{}
+	p.mu.Unlock()
+	if old != nil && oldDialled {
+		old.(*net.TCPConn).CloseWrite()
+	}
+}
+
+// track registers conn to be closed at shutdown. It reports false, leaving
+// conn to the caller to close, once the transport is closed.
+func (t *Transport) track(conn net.Conn) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return false
+	}
+	t.conns[conn] = struct{}{}
+	return true
+}
+
+func (t *Transport) untrack(conn net.Conn) {
+	t.mu.Lock()
+	delete(t.conns, conn)
+	t.mu.Unlock()
+}
+
+// readLoop delivers the frames peer k sends on conn, dialled or accepted,
+// until the connection ends. It then closes conn and, if conn is still the
+// link to k, clears the link, so the next frame to k redials.
+func (t *Transport) readLoop(conn net.Conn, k int) {
+	defer func() {
+		conn.Close() // first: fails a write blocked on it rather than waiting for it
+		p := t.peers[k]
+		p.mu.Lock()
+		if p.conn == conn {
+			p.conn = nil
+		}
+		p.mu.Unlock()
+		t.untrack(conn)
 	}()
 	// A frame that fits the read window is decoded where it lies: the codec
 	// copies every byte it keeps, so the window is free for the next read as
@@ -457,16 +543,18 @@ func (t *Transport) writeLoop(p *peer, to int) {
 // so what is left in bufs is exactly what the peer will not receive.
 func (t *Transport) writeFrames(p *peer, to int, bufs *net.Buffers) {
 	p.mu.Lock()
+	if p.conn == nil {
+		p.mu.Unlock()
+		t.dial(p, to)
+		p.mu.Lock()
+	}
 	conn := p.conn
 	if conn == nil {
-		var ok bool
-		if conn, ok = t.dialLocked(p, to); !ok {
-			p.mu.Unlock()
-			for range *bufs {
-				t.counters.RecordDrop()
-			}
-			return
+		p.mu.Unlock()
+		for range *bufs {
+			t.counters.RecordDrop()
 		}
+		return
 	}
 	// Re-arming the deadline costs a poller timer update; with more than
 	// half of WriteTimeout left on it, the armed one still bounds this
@@ -490,15 +578,18 @@ func (t *Transport) writeFrames(p *peer, to int, bufs *net.Buffers) {
 	p.mu.Unlock()
 }
 
-// dialLocked establishes p's connection, honouring the redial backoff; it
-// runs with p.mu held, on p's writer goroutine (writers to *other* peers
-// are unaffected). A failed attempt doubles the backoff and adds jitter,
-// so a dead peer costs one time comparison per frame until the window
-// expires.
-func (t *Transport) dialLocked(p *peer, to int) (net.Conn, bool) {
+// dial connects to peer to, honouring the redial backoff, and makes the new
+// connection the link — sending the hello first — unless a connection the
+// lower-id peer dialled became the link meanwhile, in which case the new
+// one is closed before it carries a byte. It runs on p's writer goroutine
+// (writers to *other* peers are unaffected) without p.mu, so neither adopt
+// nor shutdown waits behind a dial; only the install takes the lock. A
+// failed attempt doubles the backoff and adds jitter, so a dead peer costs
+// one time comparison per frame until the window expires.
+func (t *Transport) dial(p *peer, to int) {
 	now := time.Now()
 	if now.Before(p.nextDial) || t.isClosed() {
-		return nil, false
+		return
 	}
 	conn, err := net.DialTimeout("tcp", t.addrs[to], t.opts.DialTimeout)
 	if err != nil {
@@ -511,18 +602,38 @@ func (t *Transport) dialLocked(p *peer, to int) (net.Conn, bool) {
 			}
 		}
 		p.nextDial = now.Add(p.backoff + t.jitter(p.backoff/2))
-		return nil, false
+		return
 	}
-	if t.isClosed() {
+	p.backoff, p.nextDial = 0, time.Time{}
+	if !t.track(conn) {
 		conn.Close()
-		return nil, false
+		return
 	}
-	p.conn = conn
-	p.deadline = time.Time{}
-	p.backoff = 0
-	p.nextDial = time.Time{}
+	p.mu.Lock()
+	if p.conn != nil && t.self > to {
+		p.mu.Unlock()
+		conn.Close()
+		t.untrack(conn)
+		return
+	}
+	// A connection this replaces was accepted from the peer, which retires
+	// it once it adopts this one.
+	deadline := time.Now().Add(t.opts.WriteTimeout)
+	conn.SetWriteDeadline(deadline)
+	if _, err := conn.Write(binary.LittleEndian.AppendUint32(nil, uint32(t.self))); err != nil {
+		p.mu.Unlock()
+		conn.Close()
+		t.untrack(conn)
+		return
+	}
+	p.conn, p.dialled, p.deadline = conn, true, deadline
+	p.mu.Unlock()
 	t.counters.RecordReconnect()
-	return conn, true
+	t.wg.Add(1)
+	go func() {
+		defer t.wg.Done()
+		t.readLoop(conn, to)
+	}()
 }
 
 // jitter draws a uniform duration in [0, bound).
@@ -565,15 +676,12 @@ func (t *Transport) signalClose() {
 		return
 	}
 	t.closed = true
-	inbound := make([]net.Conn, 0, len(t.accepted))
-	for c := range t.accepted {
-		inbound = append(inbound, c)
+	conns := make([]net.Conn, 0, len(t.conns))
+	for c := range t.conns {
+		conns = append(conns, c)
 	}
 	t.mu.Unlock()
 	t.listener.Close()
-	for _, c := range inbound {
-		c.Close() // unblock readLoops stuck mid-frame
-	}
 	for _, p := range t.peers {
 		if p.outbox != nil {
 			// Pending frames are channel content lost on shutdown; drain
@@ -582,12 +690,9 @@ func (t *Transport) signalClose() {
 			p.outbox.Drain()
 			p.outbox.Close()
 		}
-		p.mu.Lock()
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
-		}
-		p.mu.Unlock()
+	}
+	for _, c := range conns {
+		c.Close() // unblock readLoops stuck mid-frame and writes stuck mid-burst
 	}
 	t.inbox.Close()
 }
@@ -612,31 +717,23 @@ func NewMesh(n int) (*Mesh, error) {
 
 // NewMeshWithOptions is NewMesh with explicit per-transport tuning.
 func NewMeshWithOptions(n int, opts Options) (*Mesh, error) {
-	// First pass: bind listeners on :0 to learn the ports.
+	// Bind every listener on :0 to learn the ports, and hand each to its
+	// transport still bound, so no other process can take a port between.
 	addrs := make([]string, n)
-	tmp := make([]net.Listener, n)
-	for i := 0; i < n; i++ {
+	lns := make([]net.Listener, n)
+	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			for _, l := range tmp[:i] {
+			for _, l := range lns[:i] {
 				l.Close()
 			}
 			return nil, err
 		}
-		tmp[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, l := range tmp {
-		l.Close()
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
 	m := &Mesh{}
-	for i := 0; i < n; i++ {
-		t, err := NewWithOptions(i, addrs, opts)
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
-		m.Transports = append(m.Transports, t)
+	for i, ln := range lns {
+		m.Transports = append(m.Transports, newTransport(i, addrs, ln, opts))
 	}
 	return m, nil
 }

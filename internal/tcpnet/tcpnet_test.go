@@ -222,33 +222,46 @@ func TestRedialWithBackoffRecovers(t *testing.T) {
 	}
 }
 
-// TestWriteFailureMetered: killing an established peer makes a subsequent
-// write fail, which must be metered as both a write failure and a drop.
+// TestWriteFailureMetered: killing an established peer tears its link down
+// — by a write that fails, metered as a write failure with its frames as
+// drops, or by the link's reader seeing EOF — and every frame sent after
+// that is metered as a drop.
 func TestWriteFailureMetered(t *testing.T) {
 	m, err := NewMesh(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	tr := m.Transports[0]
 
-	m.Transports[0].Send(0, 1, &wire.Message{Type: wire.TWrite})
+	tr.Send(0, 1, &wire.Message{Type: wire.TWrite})
 	if _, ok := recvWithTimeout(t, m.Transports[1], 1); !ok {
 		t.Fatal("no delivery while peer alive")
 	}
 	m.Transports[1].Close()
 
+	// Keep sending while the peer dies, so a write may find the dead
+	// connection before its reader does.
 	deadline := time.Now().Add(5 * time.Second)
-	c := m.Transports[0].Counters()
-	for c.WriteFailures() == 0 && time.Now().Before(deadline) {
-		m.Transports[0].Send(0, 1, &wire.Message{Type: wire.TWrite})
+	c := tr.Counters()
+	for link(tr, 1) != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("link to a dead peer never torn down")
+		}
+		tr.Send(0, 1, &wire.Message{Type: wire.TWrite})
 		time.Sleep(time.Millisecond)
 	}
-	if c.WriteFailures() == 0 {
-		t.Fatal("write to dead established conn never metered as write failure")
-	}
-	if c.Drops() == 0 {
+	if c.WriteFailures() > 0 && c.Drops() == 0 {
 		t.Error("write failure not also counted as a loss")
 	}
+
+	eventually(t, "outbox drained", func() bool { return tr.peers[1].outbox.Len() == 0 })
+	before := c.Drops()
+	const after = 20
+	for i := 0; i < after; i++ {
+		tr.Send(0, 1, &wire.Message{Type: wire.TWrite})
+	}
+	eventually(t, "every frame sent to the dead peer metered as a drop", func() bool { return c.Drops()-before >= after })
 }
 
 func recvWithTimeout(t *testing.T, tr *Transport, id int) (*wire.Message, bool) {
