@@ -344,7 +344,7 @@ func TestIsConsensusType(t *testing.T) {
 			t.Fatalf("%v must be a consensus type", ct)
 		}
 	}
-	for _, nt := range []wire.Type{wire.TWrite, wire.TMaxIdx, wire.TResetProp, wire.TResetDone} {
+	for _, nt := range []wire.Type{wire.TWrite, wire.TMaxIdx, wire.TGossip, wire.TCollect} {
 		if IsConsensusType(nt) {
 			t.Fatalf("%v must not be a consensus type", nt)
 		}

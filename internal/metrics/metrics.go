@@ -193,8 +193,8 @@ func (c *Counters) InvalidObjs() int64 { return c.invalidObjs.Load() }
 
 // RecordResetReject accounts one reset-plane or consensus message dropped
 // by shape validation before any state transition — a hostile sender id,
-// negative epoch, short register payload, or a legacy two-phase reset
-// type. The bounded-counter wrapper records these so campaigns can assert
+// negative epoch, short register payload, or a type outside the reset
+// plane. The bounded-counter wrapper records these so campaigns can assert
 // that corrupted frames are metered rather than silently absorbed.
 func (c *Counters) RecordResetReject() { c.resetRejects.Add(1) }
 

@@ -35,7 +35,7 @@ import (
 // NOT deep-copy payload slices. After a send returns, the caller may
 // replace m's fields (scalars and whole slice headers) but must never
 // mutate the *contents* of slices the message carried (Reg entries and
-// their Val bytes, Tasks, Saves, Maxima): those may now be aliased by
+// their Val bytes, Tasks, Saves): those may now be aliased by
 // in-flight envelopes and delivered messages. Receivers must treat
 // arriving messages as immutable. Both halves of the contract are enforced
 // by internal/transporttest under the race detector, and payload-byte

@@ -18,12 +18,12 @@ import (
 type readingAlg struct{ sink atomic.Int64 }
 
 func (a *readingAlg) HandleMessage(m *wire.Message) {
-	s := m.SSN + int64(len(m.Maxima))
+	s := m.SSN + int64(len(m.Tasks))
 	for _, e := range m.Reg {
 		s += e.TS + int64(len(e.Val))
 	}
-	for _, x := range m.Maxima {
-		s += x
+	for _, x := range m.Tasks {
+		s += x.SNS
 	}
 	a.sink.Add(s)
 }
@@ -56,10 +56,10 @@ func TestBroadcastConcurrentWithHandlerReads(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				m := &wire.Message{
-					Type:   wire.TSnapshot,
-					SSN:    int64(g),
-					Reg:    types.RegVector{{TS: 1, Val: types.Value("payload")}},
-					Maxima: []int64{1, 2, 3},
+					Type:  wire.TSnapshot,
+					SSN:   int64(g),
+					Reg:   types.RegVector{{TS: 1, Val: types.Value("payload")}},
+					Tasks: []wire.TaskInfo{{Node: 1, SNS: 2}, {Node: 3}},
 				}
 				for i := 0; i < rounds; i++ {
 					if g == 0 {
@@ -74,9 +74,9 @@ func TestBroadcastConcurrentWithHandlerReads(t *testing.T) {
 					reg := append(types.RegVector(nil), m.Reg...)
 					reg[0].TS++
 					m.Reg = reg
-					maxima := append([]int64(nil), m.Maxima...)
-					maxima[0]++
-					m.Maxima = maxima
+					tasks := append([]wire.TaskInfo(nil), m.Tasks...)
+					tasks[0].SNS++
+					m.Tasks = tasks
 				}
 			}(g)
 		}

@@ -23,8 +23,8 @@
 // The engine is a pure state machine: callers feed it ticks and messages
 // and execute the outputs (messages to send, reset to apply). This keeps
 // it independently unit-testable without a network. Hostile inputs —
-// out-of-range sender ids, malformed vectors, legacy two-phase-commit
-// types — are bounds-checked at entry, counted, and dropped, mirroring the
+// out-of-range sender ids, malformed vectors, misrouted types — are
+// bounds-checked at entry, counted, and dropped, mirroring the
 // dispatcher's InvalidTypes/InvalidObjs discipline.
 package reset
 
@@ -421,9 +421,7 @@ func (e *Engine) OnMessage(m *wire.Message, reg types.RegVector, frozen bool) Re
 		}
 
 	default:
-		// Legacy two-phase-commit types (TResetProp/TResetAck/TResetCmt/
-		// TResetDone) are no longer part of the protocol; anything else is
-		// misrouted. Either way: hostile, count and drop.
+		// Misrouted: hostile, count and drop.
 		return e.rejectLocked(&res)
 	}
 	return res
@@ -461,14 +459,8 @@ func (e *Engine) Debug() DebugState {
 	}
 }
 
-// IsResetType reports whether t belongs to the reset control plane. The
-// legacy two-phase-commit types remain routed here (and rejected by the
-// engine) so stale frames from a corrupted store can never reach the data
-// plane.
+// IsResetType reports whether t belongs to the reset control plane: MAXIDX
+// and the consensus messages.
 func IsResetType(t wire.Type) bool {
-	switch t {
-	case wire.TMaxIdx, wire.TResetProp, wire.TResetAck, wire.TResetCmt, wire.TResetDone:
-		return true
-	}
-	return consensus.IsConsensusType(t)
+	return t == wire.TMaxIdx || consensus.IsConsensusType(t)
 }

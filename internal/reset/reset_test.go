@@ -354,20 +354,22 @@ func TestHostileIdsRejected(t *testing.T) {
 	}
 }
 
-// TestLegacyTwoPhaseTypesRejected: the coordinator protocol is gone; its
-// wire types remain reserved and any arrival is counted hostile.
-func TestLegacyTwoPhaseTypesRejected(t *testing.T) {
+// TestMisroutedTypesRejected: a data-plane message handed to the engine
+// (a corrupted type or a routing fault) is counted hostile and changes
+// nothing.
+func TestMisroutedTypesRejected(t *testing.T) {
 	const n = 3
 	e := NewEngine(0, n)
 	reg := make(types.RegVector, n)
-	for _, typ := range []wire.Type{wire.TResetProp, wire.TResetAck, wire.TResetCmt, wire.TResetDone} {
-		res := e.OnMessage(&wire.Message{Type: typ, From: 1, Epoch: 0}, reg, false)
+	typs := []wire.Type{wire.TWrite, wire.TSnapshotAck, wire.TGossip, wire.TSave}
+	for _, typ := range typs {
+		res := e.OnMessage(&wire.Message{Type: typ, From: 1, Epoch: 0, Reg: reg}, reg, false)
 		if !res.Rejected {
-			t.Fatalf("legacy type %v accepted", typ)
+			t.Fatalf("misrouted type %v accepted", typ)
 		}
 	}
-	if e.Debug().Phase != uint8(phaseIdle) {
-		t.Fatal("legacy traffic changed phase")
+	if d := e.Debug(); d.Phase != uint8(phaseIdle) || d.Rejects != uint64(len(typs)) {
+		t.Fatalf("misrouted traffic: %+v", d)
 	}
 }
 
@@ -472,14 +474,14 @@ func TestRestartClearsEngine(t *testing.T) {
 
 func TestIsResetType(t *testing.T) {
 	for _, typ := range []wire.Type{
-		wire.TMaxIdx, wire.TResetProp, wire.TResetAck, wire.TResetCmt, wire.TResetDone,
+		wire.TMaxIdx,
 		wire.TCnsPrep, wire.TCnsProm, wire.TCnsAcc, wire.TCnsAccAck, wire.TCnsDecide,
 	} {
 		if !IsResetType(typ) {
 			t.Errorf("%v must be a reset type", typ)
 		}
 	}
-	for _, typ := range []wire.Type{wire.TWrite, wire.TGossip, wire.TSnapshot, wire.TRegQuery} {
+	for _, typ := range []wire.Type{wire.TWrite, wire.TGossip, wire.TSnapshot, wire.TCollect} {
 		if IsResetType(typ) {
 			t.Errorf("%v must not be a reset type", typ)
 		}

@@ -131,10 +131,10 @@ func samplePayload(n int) *wire.Message {
 		reg[i] = types.TSValue{TS: int64(i + 1), Val: types.Value(fmt.Sprintf("value-%d", i))}
 	}
 	return &wire.Message{
-		Type:   wire.TSnapshot,
-		SSN:    7,
-		Reg:    reg,
-		Maxima: []int64{3, 1, 4, 1, 5},
+		Type:  wire.TSnapshot,
+		SSN:   7,
+		Reg:   reg,
+		Tasks: []wire.TaskInfo{{Node: 3, SNS: 1}, {Node: 4, SNS: 1}, {Node: 5}},
 	}
 }
 
@@ -165,7 +165,7 @@ func SendManyEquivalence(t *testing.T, sender netsim.Transport, endpoint func(id
 			if m.From != int32(from) || m.To != int32(k) {
 				t.Fatalf("conformance: %s envelope to node %d = (From %d, To %d), want (%d, %d)", label, k, m.From, m.To, from, k)
 			}
-			if m.Type != payload.Type || m.SSN != payload.SSN || len(m.Reg) != len(payload.Reg) || len(m.Maxima) != len(payload.Maxima) {
+			if m.Type != payload.Type || m.SSN != payload.SSN || len(m.Reg) != len(payload.Reg) || len(m.Tasks) != len(payload.Tasks) {
 				t.Fatalf("conformance: %s payload mangled at node %d: %+v", label, k, m)
 			}
 			for i := range payload.Reg {
@@ -223,12 +223,12 @@ func ConcurrentFanout(t *testing.T, sender netsim.Transport, endpoint func(id in
 				}
 				// Read every shared field; the race detector flags any
 				// writer still touching a delivered payload.
-				sink += m.SSN + int64(len(m.Maxima))
+				sink += m.SSN + int64(len(m.Tasks))
 				for _, e := range m.Reg {
 					sink += e.TS + int64(len(e.Val))
 				}
-				for _, x := range m.Maxima {
-					sink += x
+				for _, x := range m.Tasks {
+					sink += x.SNS
 				}
 			}
 			_ = sink
@@ -253,9 +253,9 @@ func ConcurrentFanout(t *testing.T, sender netsim.Transport, endpoint func(id in
 		reg := append(types.RegVector(nil), payload.Reg...)
 		reg[0].TS++
 		payload.Reg = reg
-		maxima := append([]int64(nil), payload.Maxima...)
-		maxima[0]++
-		payload.Maxima = maxima
+		tasks := append([]wire.TaskInfo(nil), payload.Tasks...)
+		tasks[0].SNS++
+		payload.Tasks = tasks
 	}
 
 	done := make(chan struct{})

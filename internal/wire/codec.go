@@ -248,11 +248,6 @@ func marshalInto(e *encoder, m *Message) {
 
 	e.u64(m.Tag)
 	e.i64(m.Epoch)
-	e.u16(uint16(len(m.Maxima)))
-	for _, x := range m.Maxima {
-		e.i64(x)
-	}
-	e.i64(m.MaxSNS)
 }
 
 // Unmarshal decodes a message previously produced by Marshal. It returns an
@@ -335,18 +330,6 @@ func unmarshalFrom(d *decoder, depth int) *Message {
 
 	m.Tag = d.u64()
 	m.Epoch = d.i64()
-	nm := int(d.u16())
-	if nm > maxElems {
-		d.err = ErrTooLarge
-		return nil
-	}
-	if nm > 0 {
-		m.Maxima = make([]int64, nm)
-		for i := range m.Maxima {
-			m.Maxima[i] = d.i64()
-		}
-	}
-	m.MaxSNS = d.i64()
 
 	if d.err != nil {
 		return nil

@@ -81,9 +81,7 @@ type Message struct {
 	Tag uint64
 
 	// Bounded-counter variation control plane.
-	Epoch  int64
-	Maxima []int64 // per-node maximal write indices observed
-	MaxSNS int64   // maximal snapshot-operation index observed
+	Epoch int64
 }
 
 // Clone returns a deep copy of m: fresh payload buffers everywhere. The
@@ -110,15 +108,11 @@ func (m *Message) Clone() *Message {
 		}
 	}
 	c.Inner = m.Inner.Clone()
-	if m.Maxima != nil {
-		c.Maxima = make([]int64, len(m.Maxima))
-		copy(c.Maxima, m.Maxima)
-	}
 	return &c
 }
 
 // ShallowClone returns a copy of m that shares every payload slice (Reg,
-// Entry.Val, Tasks, Saves, Inner, Maxima) with the original. It is the
+// Entry.Val, Tasks, Saves, Inner) with the original. It is the
 // backbone of the zero-copy hot path: transports use it for copy-on-write
 // unicast and fan-out (each delivery gets its own From/To/Seq envelope
 // while all share the sender's payload), and quorum calls use it to give
@@ -137,7 +131,7 @@ func (m *Message) ShallowClone() *Message {
 const (
 	tsValueOverhead = 8 + 4
 	fixedHeaderSize = 1 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 4 + 8 // Type..TaskSN (incl. Obj)
-	fixedTailSize   = 8 + 8 + 8                             // Tag, Epoch, MaxSNS
+	fixedTailSize   = 8 + 8                                 // Tag, Epoch
 )
 
 func regVectorSize(r types.RegVector) int {
@@ -172,6 +166,5 @@ func (m *Message) Size() int {
 	if m.Inner != nil {
 		n += m.Inner.Size()
 	}
-	n += 2 + 8*len(m.Maxima)
 	return n
 }

@@ -47,17 +47,7 @@ const (
 	TWriteBackAck
 
 	// Bounded-counter variation (§5): wraparound control plane.
-	TMaxIdx    // MAXIDX(maxima, epoch): gossip of maximal indices
-	TResetProp // RESET-PROPOSE(epoch, frozen maxima)
-	TResetAck  // RESET-ACK(epoch)
-	TResetCmt  // RESET-COMMIT(epoch)
-	TResetDone // RESET-DONE(epoch)
-
-	// Standalone ABD register emulation (single-register reads).
-	TRegQuery        // REG-QUERY(k, tag): read register k from a majority
-	TRegQueryAck     // REG-QUERYack(k, entry, tag)
-	TRegWriteBack    // REG-WRITEBACK(k, entry, tag): install before returning
-	TRegWriteBackAck // REG-WRITEBACKack(tag)
+	TMaxIdx // MAXIDX(reg, epoch, frozen): gossip of maximal indices
 
 	// Self-stabilizing multivalued consensus (Lundström–Raynal–Schiller
 	// 2021), one instance per reset epoch. Ballots ride in TS, accepted
@@ -73,39 +63,31 @@ const (
 )
 
 var typeNames = [...]string{
-	TInvalid:         "INVALID",
-	TWrite:           "WRITE",
-	TWriteAck:        "WRITEack",
-	TSnapshot:        "SNAPSHOT",
-	TSnapshotAck:     "SNAPSHOTack",
-	TGossip:          "GOSSIP",
-	TGossipAck:       "GOSSIPack",
-	TSnap:            "SNAP",
-	TEnd:             "END",
-	TSave:            "SAVE",
-	TSaveAck:         "SAVEack",
-	TRBCast:          "RBCAST",
-	TRBAck:           "RBACK",
-	TCollect:         "COLLECT",
-	TCollectAck:      "COLLECTack",
-	TUpdate:          "UPDATE",
-	TUpdateAck:       "UPDATEack",
-	TWriteBack:       "WRITEBACK",
-	TWriteBackAck:    "WRITEBACKack",
-	TMaxIdx:          "MAXIDX",
-	TResetProp:       "RESET-PROPOSE",
-	TResetAck:        "RESET-ACK",
-	TResetCmt:        "RESET-COMMIT",
-	TResetDone:       "RESET-DONE",
-	TRegQuery:        "REG-QUERY",
-	TRegQueryAck:     "REG-QUERYack",
-	TRegWriteBack:    "REG-WRITEBACK",
-	TRegWriteBackAck: "REG-WRITEBACKack",
-	TCnsPrep:         "CNS-PREPARE",
-	TCnsProm:         "CNS-PROMISE",
-	TCnsAcc:          "CNS-ACCEPT",
-	TCnsAccAck:       "CNS-ACCEPTack",
-	TCnsDecide:       "CNS-DECIDE",
+	TInvalid:      "INVALID",
+	TWrite:        "WRITE",
+	TWriteAck:     "WRITEack",
+	TSnapshot:     "SNAPSHOT",
+	TSnapshotAck:  "SNAPSHOTack",
+	TGossip:       "GOSSIP",
+	TGossipAck:    "GOSSIPack",
+	TSnap:         "SNAP",
+	TEnd:          "END",
+	TSave:         "SAVE",
+	TSaveAck:      "SAVEack",
+	TRBCast:       "RBCAST",
+	TRBAck:        "RBACK",
+	TCollect:      "COLLECT",
+	TCollectAck:   "COLLECTack",
+	TUpdate:       "UPDATE",
+	TUpdateAck:    "UPDATEack",
+	TWriteBack:    "WRITEBACK",
+	TWriteBackAck: "WRITEBACKack",
+	TMaxIdx:       "MAXIDX",
+	TCnsPrep:      "CNS-PREPARE",
+	TCnsProm:      "CNS-PROMISE",
+	TCnsAcc:       "CNS-ACCEPT",
+	TCnsAccAck:    "CNS-ACCEPTack",
+	TCnsDecide:    "CNS-DECIDE",
 }
 
 // String returns the pseudocode name of the message type.

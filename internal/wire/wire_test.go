@@ -30,15 +30,19 @@ func sampleMessages() []*Message {
 		{Type: TUpdateAck, Tag: 6},
 		{Type: TWriteBack, Reg: types.RegVector{{TS: 2}}, Tag: 7},
 		{Type: TWriteBackAck, Tag: 7},
-		{Type: TMaxIdx, Epoch: 3, Reg: types.RegVector{{TS: 64}}, Maxima: []int64{64, 63}, MaxSNS: 12},
-		{Type: TResetProp, Epoch: 3},
-		{Type: TResetAck, Epoch: 3},
-		{Type: TResetCmt, Epoch: 3},
-		{Type: TResetDone, Epoch: 3},
-		{Type: TRegQuery, Src: 2, Tag: 9},
-		{Type: TRegQueryAck, Src: 2, Entry: types.TSValue{TS: 4, Val: types.Value("r")}, Tag: 9},
-		{Type: TRegWriteBack, Src: 2, Entry: types.TSValue{TS: 4, Val: types.Value("r")}, Tag: 10},
-		{Type: TRegWriteBackAck, Tag: 10},
+		{Type: TMaxIdx, Epoch: 3, TS: 1, Reg: types.RegVector{{TS: 64}}},
+		{Type: TMaxIdx, Reg: types.RegVector{{TS: 63, Val: types.Value("m")}, {}}},
+		{Type: TCnsProm, Epoch: 4, TS: 9},
+
+		// The bounded variants stamp the reset epoch on data-plane traffic.
+		{Type: TWrite, Epoch: 2, Reg: types.RegVector{{TS: 1, Val: types.Value("e")}}},
+		{Type: TSnapshotAck, Epoch: 1, SSN: 3, Reg: types.RegVector{{TS: 2}, {TS: 1}}},
+		{Type: TGossip, Epoch: 2, Entry: types.TSValue{TS: 5, Val: types.Value("e")}},
+		{Type: TGossipAck, Epoch: 1, TS: 2, SNS: 1, TaskSN: 1},
+		{Type: TSaveAck, Epoch: 1, Saves: []SaveEntry{{Node: 0, SNS: 4}, {Node: 1, SNS: 2}}},
+		{Type: TRBCast, Src: 2, Tag: 90, Inner: &Message{Type: TEnd, Src: 2, TaskSN: 3,
+			Saves: []SaveEntry{{Node: 2, SNS: 3, Result: types.RegVector{{TS: 1}}}}}},
+
 		{Type: TCnsPrep, Epoch: 4, TS: 7},
 		{Type: TCnsProm, Epoch: 4, TS: 7, SNS: 2, Reg: types.RegVector{{TS: 64, Val: types.Value("p")}}},
 		{Type: TCnsAcc, Epoch: 4, TS: 7, Reg: types.RegVector{{TS: 64}, {TS: 63}}},
@@ -77,7 +81,7 @@ func messagesEqual(a, b *Message) bool {
 	}
 	if a.Type != b.Type || a.From != b.From || a.To != b.To || a.Obj != b.Obj || a.Seq != b.Seq ||
 		a.SSN != b.SSN || a.TS != b.TS || a.SNS != b.SNS || a.Src != b.Src ||
-		a.TaskSN != b.TaskSN || a.Tag != b.Tag || a.Epoch != b.Epoch || a.MaxSNS != b.MaxSNS {
+		a.TaskSN != b.TaskSN || a.Tag != b.Tag || a.Epoch != b.Epoch {
 		return false
 	}
 	if !a.Reg.Equal(b.Reg) && !(len(a.Reg) == 0 && len(b.Reg) == 0) {
@@ -86,7 +90,7 @@ func messagesEqual(a, b *Message) bool {
 	if !a.Entry.Equal(b.Entry) {
 		return false
 	}
-	if len(a.Tasks) != len(b.Tasks) || len(a.Saves) != len(b.Saves) || len(a.Maxima) != len(b.Maxima) {
+	if len(a.Tasks) != len(b.Tasks) || len(a.Saves) != len(b.Saves) {
 		return false
 	}
 	for i := range a.Tasks {
@@ -101,11 +105,6 @@ func messagesEqual(a, b *Message) bool {
 		}
 		ra, rb := a.Saves[i].Result, b.Saves[i].Result
 		if !ra.Equal(rb) && !(len(ra) == 0 && len(rb) == 0) {
-			return false
-		}
-	}
-	for i := range a.Maxima {
-		if a.Maxima[i] != b.Maxima[i] {
 			return false
 		}
 	}
@@ -190,18 +189,16 @@ func TestCloneIndependence(t *testing.T) {
 		Tasks: []TaskInfo{
 			{Node: 1, SNS: 2, VC: types.VectorClock{1, 2}},
 		},
-		Saves:  []SaveEntry{{Node: 0, SNS: 1, Result: types.RegVector{{TS: 5}}}},
-		Inner:  &Message{Type: TSnap},
-		Maxima: []int64{4, 5},
+		Saves: []SaveEntry{{Node: 0, SNS: 1, Result: types.RegVector{{TS: 5}}}},
+		Inner: &Message{Type: TSnap},
 	}
 	c := m.Clone()
 	c.Reg[0].Val[0] = 'Z'
 	c.Tasks[0].VC[0] = 99
 	c.Saves[0].Result[0].TS = 99
 	c.Inner.Type = TEnd
-	c.Maxima[0] = 99
 	if string(m.Reg[0].Val) != "abc" || m.Tasks[0].VC[0] != 1 ||
-		m.Saves[0].Result[0].TS != 5 || m.Inner.Type != TSnap || m.Maxima[0] != 4 {
+		m.Saves[0].Result[0].TS != 5 || m.Inner.Type != TSnap {
 		t.Error("Clone must deep-copy every field")
 	}
 	if (*Message)(nil).Clone() != nil {
@@ -272,17 +269,17 @@ func TestAppendMarshal(t *testing.T) {
 // broadcast fan-out relies on.
 func TestShallowCloneSharesPayload(t *testing.T) {
 	m := &Message{
-		Type:   TSnapshot,
-		From:   1,
-		Reg:    types.RegVector{{TS: 1, Val: types.Value("abc")}},
-		Maxima: []int64{4},
+		Type:  TSnapshot,
+		From:  1,
+		Reg:   types.RegVector{{TS: 1, Val: types.Value("abc")}},
+		Tasks: []TaskInfo{{Node: 1, SNS: 4}},
 	}
 	c := m.ShallowClone()
 	c.From, c.To, c.Seq = 7, 8, 9
 	if m.From != 1 || m.To != 0 || m.Seq != 0 {
 		t.Error("envelope fields aliased")
 	}
-	if &c.Reg[0] != &m.Reg[0] || &c.Maxima[0] != &m.Maxima[0] {
+	if &c.Reg[0] != &m.Reg[0] || &c.Tasks[0] != &m.Tasks[0] {
 		t.Error("payload slices copied, want shared")
 	}
 }
@@ -297,8 +294,8 @@ func TestTypeString(t *testing.T) {
 	if TInvalid.Valid() || Type(250).Valid() {
 		t.Error("Valid() broken")
 	}
-	if !TResetDone.Valid() {
-		t.Error("TResetDone must be valid")
+	if !TMaxIdx.Valid() {
+		t.Error("TMaxIdx must be valid")
 	}
 	if !TCnsDecide.Valid() || TCnsPrep.String() != "CNS-PREPARE" {
 		t.Error("consensus types must be valid and named")
