@@ -26,18 +26,9 @@ import (
 	"selfstabsnap/internal/types"
 )
 
-var algorithms = map[string]core.Algorithm{
-	"dg-nonblocking": core.NonBlockingDG,
-	"ss-nonblocking": core.NonBlockingSS,
-	"dg-alwaysterm":  core.AlwaysTerminatingDG,
-	"ss-delta":       core.DeltaSS,
-	"stacked":        core.StackedABD,
-	"ss-bounded":     core.BoundedSS,
-}
-
 func main() {
 	var (
-		algName   = flag.String("alg", "ss-nonblocking", "algorithm: "+strings.Join(algNames(), ", "))
+		algName   = flag.String("alg", "ss-nonblocking", "algorithm: "+strings.Join(core.AlgorithmNames(), ", "))
 		n         = flag.Int("n", 5, "cluster size")
 		delta     = flag.Int64("delta", 0, "Algorithm 3's δ parameter")
 		seed      = flag.Int64("seed", 1, "randomness seed")
@@ -55,9 +46,9 @@ func main() {
 	)
 	flag.Parse()
 
-	alg, ok := algorithms[strings.ToLower(*algName)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q; choose from %s\n", *algName, strings.Join(algNames(), ", "))
+	alg, err := core.ParseAlgorithm(*algName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -162,20 +153,4 @@ func main() {
 	if rec != nil {
 		fmt.Printf("\nmessage-sequence trace:\n%s", rec.Render(*n))
 	}
-}
-
-func algNames() []string {
-	names := make([]string, 0, len(algorithms))
-	for k := range algorithms {
-		names = append(names, k)
-	}
-	// Stable order for help text.
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
-	return names
 }

@@ -49,19 +49,9 @@ import (
 	"selfstabsnap/internal/obs"
 )
 
-var algorithms = map[string]core.Algorithm{
-	"dg-nonblocking":   core.NonBlockingDG,
-	"ss-nonblocking":   core.NonBlockingSS,
-	"dg-alwaysterm":    core.AlwaysTerminatingDG,
-	"ss-delta":         core.DeltaSS,
-	"stacked":          core.StackedABD,
-	"ss-bounded":       core.BoundedSS,
-	"ss-bounded-delta": core.BoundedDeltaSS,
-}
-
 func main() {
 	var (
-		algName   = flag.String("alg", "ss-nonblocking", "algorithm under test")
+		algName   = flag.String("alg", "ss-nonblocking", "algorithm under test: "+strings.Join(core.AlgorithmNames(), ", "))
 		n         = flag.Int("n", 5, "cluster size")
 		delta     = flag.Int64("delta", 2, "δ for ss-delta")
 		runs      = flag.Int("runs", 20, "number of seeded runs")
@@ -96,9 +86,9 @@ func main() {
 	)
 	flag.Parse()
 
-	alg, ok := algorithms[strings.ToLower(*algName)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algName)
+	alg, err := core.ParseAlgorithm(*algName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *corrupt && !alg.SelfStabilizing() {

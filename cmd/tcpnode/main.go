@@ -13,11 +13,14 @@
 // independent snapshot objects multiplexed over the one TCP transport and
 // rotates the periodic workload over them. With -obs the node serves
 // /metrics (Prometheus), /statusz (JSON) and /debug/pprof/ on the given
-// address — see docs/OBSERVABILITY.md. Stop with Ctrl-C.
+// address — see docs/OBSERVABILITY.md. -alg takes any algorithm core
+// builds; the node is assembled by core.NewNode, as every cluster member
+// is. Stop with Ctrl-C.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,11 +30,9 @@ import (
 	"syscall"
 	"time"
 
-	"selfstabsnap/internal/deltasnap"
-	"selfstabsnap/internal/kernel"
+	"selfstabsnap/internal/core"
 	"selfstabsnap/internal/metrics"
 	"selfstabsnap/internal/node"
-	"selfstabsnap/internal/nonblocking"
 	"selfstabsnap/internal/obs"
 	"selfstabsnap/internal/tcpnet"
 	"selfstabsnap/internal/types"
@@ -64,107 +65,91 @@ type objStatus struct {
 	Registers []regSummary `json:"registers"`
 }
 
-func main() {
-	var (
-		id       = flag.Int("id", 0, "this node's id (index into -peers)")
-		peers    = flag.String("peers", "", "comma-separated host:port list, one per node")
-		algName  = flag.String("alg", "ss-nonblocking", "ss-nonblocking or ss-delta")
-		delta    = flag.Int64("delta", 4, "δ for ss-delta")
-		adaptive = flag.Bool("adaptive-delta", false, "auto-tune δ from live write/snapshot latency (ss-delta only)")
-		tuneEach = flag.Duration("tune-every", 5*time.Second, "adaptive-δ observation period")
-		write    = flag.String("write", "", "value prefix to write periodically (empty = don't write)")
-		interval = flag.Duration("interval", time.Second, "write period")
-		snapEach = flag.Duration("snapshot-every", 5*time.Second, "snapshot period (0 = never)")
-		inboxCap = flag.Int("inbox", 0, "bounded inbox capacity, drop-oldest on overflow (0 = default 4096)")
-		shards   = flag.Int("shards", 1, "parallel dispatch shards per node (1 = classic single dispatcher)")
-		objects  = flag.Int("objects", 1, "snapshot objects hosted on this node, multiplexed over one transport and one dispatcher")
-		obsAddr  = flag.String("obs", "", "observability HTTP address for /metrics, /statusz and pprof (empty = disabled)")
-	)
-	flag.Parse()
+// errUsage marks a bad command line; main exits with status 2 on it.
+var errUsage = errors.New("usage")
 
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run parses args, serves one node until ctx is done, then prints the
+// node's traffic counters and returns.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tcpnode", flag.ContinueOnError)
+	var (
+		id       = fs.Int("id", 0, "this node's id (index into -peers)")
+		peers    = fs.String("peers", "", "comma-separated host:port list, one per node")
+		algName  = fs.String("alg", "ss-nonblocking", "algorithm: "+strings.Join(core.AlgorithmNames(), ", "))
+		delta    = fs.Int64("delta", 4, "δ for ss-delta and ss-bounded-delta, fixed for the node's lifetime")
+		write    = fs.String("write", "", "value prefix to write periodically (empty = don't write)")
+		interval = fs.Duration("interval", time.Second, "write period")
+		snapEach = fs.Duration("snapshot-every", 5*time.Second, "snapshot period (0 = never)")
+		inboxCap = fs.Int("inbox", 0, "bounded inbox capacity, drop-oldest on overflow (0 = default 4096)")
+		shards   = fs.Int("shards", 1, "parallel dispatch shards per node (1 = classic single dispatcher)")
+		objects  = fs.Int("objects", 1, "snapshot objects hosted on this node, multiplexed over one transport and one dispatcher")
+		obsAddr  = fs.String("obs", "", "observability HTTP address for /metrics, /statusz and pprof (empty = disabled)")
+	)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
 	addrs := strings.Split(*peers, ",")
 	if len(addrs) < 3 {
-		fmt.Fprintln(os.Stderr, "need at least 3 peers (2f < n)")
-		os.Exit(2)
+		return fmt.Errorf("%w: need at least 3 peers (2f < n)", errUsage)
 	}
+	alg, err := core.ParseAlgorithm(*algName)
+	if err != nil {
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if *objects < 1 || *objects > node.MaxObjects {
+		return fmt.Errorf("%w: -objects must be in [1, %d]", errUsage, node.MaxObjects)
+	}
+	if *delta < 0 {
+		return fmt.Errorf("%w: -delta must be ≥ 0", errUsage)
+	}
+	if *write != "" && *interval <= 0 {
+		return fmt.Errorf("%w: -interval must be positive", errUsage)
+	}
+
 	tr, err := tcpnet.NewWithOptions(*id, addrs, tcpnet.Options{InboxCap: *inboxCap})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	defer tr.Close()
 
 	journal := obs.NewJournal(0)
-	opts := node.Options{
+	nd, err := core.NewNode(*id, tr, core.Config{
+		Algorithm:      alg,
+		Delta:          *delta,
+		Objects:        *objects,
 		LoopInterval:   50 * time.Millisecond,
 		RetxInterval:   200 * time.Millisecond,
-		Journal:        journal,
 		DispatchShards: *shards,
+		Journal:        journal,
+	})
+	if err != nil {
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
+	defer nd.Close()
+	rt := nd.Runtime()
+	registers := func(o int) []regSummary { return summarize(nd.Registers(o)) }
 
-	if *objects < 1 || *objects > node.MaxObjects {
-		fmt.Fprintf(os.Stderr, "-objects must be in [1, %d]\n", node.MaxObjects)
-		os.Exit(2)
+	// The node's δ, or -1 when the algorithm has none.
+	deltaValue := int64(-1)
+	if alg == core.DeltaSS || alg == core.BoundedDeltaSS {
+		deltaValue = *delta
 	}
-
-	type snapObj interface {
-		Write(types.Value) error
-		Snapshot() (types.RegVector, error)
-		Start()
-		Close()
-		Runtime() *node.Runtime
-		StateSummary() kernel.View
-	}
-
-	// Object 0 builds the host runtime; the rest attach to it, multiplexing
-	// every object over the one transport and dispatcher. Start is deferred
-	// until the whole table is attached (idempotent across instances).
-	objs := make([]snapObj, *objects)
-	var deltaNode *deltasnap.Node // object 0's δ node; the tuner targets it
-	for o := 0; o < *objects; o++ {
-		ropts := opts
-		if o > 0 {
-			ropts.Attach = objs[0].Runtime()
-		}
-		switch strings.ToLower(*algName) {
-		case "ss-nonblocking":
-			objs[o] = nonblocking.New(*id, tr, nonblocking.Config{SelfStabilizing: true, Runtime: ropts})
-		case "ss-delta":
-			nd := deltasnap.New(*id, tr, deltasnap.Config{Delta: *delta, Runtime: ropts})
-			objs[o] = nd
-			if o == 0 {
-				deltaNode = nd
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algName)
-			os.Exit(2)
-		}
-	}
-	for _, o := range objs {
-		o.Start()
-	}
-	obj := objs[0]
-	registers := func(o int) []regSummary { return summarize(objs[o].StateSummary().Reg) }
-	defer obj.Close()
 
 	var writeLat, snapLat metrics.LatencyRecorder
-
-	// deltaValue reports the node's live δ (the tuner may move it), or -1
-	// when the algorithm has no δ at all.
-	deltaValue := func() int64 {
-		if deltaNode == nil {
-			return -1
-		}
-		return deltaNode.DeltaValue()
-	}
-	var tuner *deltasnap.Tuner
-	if *adaptive {
-		if deltaNode == nil {
-			fmt.Fprintln(os.Stderr, "-adaptive-delta requires -alg ss-delta")
-			os.Exit(2)
-		}
-		tuner = deltasnap.NewTuner(*delta, deltasnap.TunerConfig{})
-	}
 
 	if *obsAddr != "" {
 		srv := obs.NewServer(*obsAddr)
@@ -173,33 +158,26 @@ func main() {
 			writeLat.Histogram().WritePrometheus(w, "selfstabsnap_write_latency_seconds")
 			snapLat.Histogram().WritePrometheus(w, "selfstabsnap_snapshot_latency_seconds")
 			fmt.Fprintf(w, "# TYPE selfstabsnap_loop_iterations_total counter\nselfstabsnap_loop_iterations_total %d\n",
-				obj.Runtime().LoopCount())
+				rt.LoopCount())
 			fmt.Fprintf(w, "# TYPE selfstabsnap_loop_kicks_total counter\nselfstabsnap_loop_kicks_total %d\n",
-				obj.Runtime().LoopKicks())
+				rt.LoopKicks())
 			fmt.Fprintf(w, "# TYPE selfstabsnap_loop_on_demand_iterations_total counter\nselfstabsnap_loop_on_demand_iterations_total %d\n",
-				obj.Runtime().OnDemandIterations())
+				rt.OnDemandIterations())
 			fmt.Fprintf(w, "# TYPE selfstabsnap_journal_events_total counter\nselfstabsnap_journal_events_total %d\n",
 				journal.Total())
-			if d := deltaValue(); d >= 0 {
-				fmt.Fprintf(w, "# TYPE selfstabsnap_delta gauge\nselfstabsnap_delta %d\n", d)
-			}
-			if tuner != nil {
-				fmt.Fprintf(w, "# TYPE selfstabsnap_delta_adjustments_total counter\nselfstabsnap_delta_adjustments_total %d\n",
-					tuner.Adjustments())
-			}
-			if depths, ack := obj.Runtime().DispatchDepths(); depths != nil {
+			if depths, ack := rt.DispatchDepths(); depths != nil {
 				fmt.Fprintf(w, "# TYPE selfstabsnap_dispatch_queue_depth gauge\n")
 				for i, d := range depths {
 					fmt.Fprintf(w, "selfstabsnap_dispatch_queue_depth{lane=\"shard%d\"} %d\n", i, d)
 				}
 				fmt.Fprintf(w, "selfstabsnap_dispatch_queue_depth{lane=\"ack\"} %d\n", ack)
 			}
-			fmt.Fprintf(w, "# TYPE selfstabsnap_objects_hosted gauge\nselfstabsnap_objects_hosted %d\n", len(objs))
-			if len(objs) > 1 {
+			fmt.Fprintf(w, "# TYPE selfstabsnap_objects_hosted gauge\nselfstabsnap_objects_hosted %d\n", nd.Objects())
+			if nd.Objects() > 1 {
 				// Per-object progress gauges, bounded cardinality: at most
 				// obsObjectCap labeled series regardless of -objects.
 				fmt.Fprintf(w, "# TYPE selfstabsnap_object_max_ts gauge\n")
-				for o := 0; o < len(objs) && o < obsObjectCap; o++ {
+				for o := 0; o < nd.Objects() && o < obsObjectCap; o++ {
 					var maxTS int64
 					for _, r := range registers(o) {
 						if r.TS > maxTS {
@@ -212,14 +190,14 @@ func main() {
 		})
 		srv.SetStatus(func() any {
 			var perObject []objStatus
-			if len(objs) > 1 {
+			if nd.Objects() > 1 {
 				// Bounded like the Prometheus series: the first obsObjectCap
 				// objects in full, the count telling the rest of the story.
-				for o := 0; o < len(objs) && o < obsObjectCap; o++ {
+				for o := 0; o < nd.Objects() && o < obsObjectCap; o++ {
 					perObject = append(perObject, objStatus{Obj: o, Registers: registers(o)})
 				}
 			}
-			shardDepths, ackDepth := obj.Runtime().DispatchDepths()
+			shardDepths, ackDepth := rt.DispatchDepths()
 			return struct {
 				ID          int                `json:"id"`
 				Addr        string             `json:"addr"`
@@ -231,7 +209,7 @@ func main() {
 				LoopKicks   int64              `json:"loop_kicks_total"`
 				OnDemand    int64              `json:"loop_on_demand_iterations_total"`
 				LastTick    time.Time          `json:"last_tick"`
-				Delta       int64              `json:"delta"` // live δ; -1 when the algorithm has none
+				Delta       int64              `json:"delta"` // -1 when the algorithm has none
 				Registers   []regSummary       `json:"registers"`
 				PerObject   []objStatus        `json:"per_object,omitempty"` // capped at obsObjectCap entries
 				ShardDepths []int              `json:"shard_queue_depths,omitempty"`
@@ -246,13 +224,13 @@ func main() {
 				Addr:        tr.Addr(),
 				Algorithm:   strings.ToLower(*algName),
 				N:           len(addrs),
-				Shards:      obj.Runtime().DispatchShards(),
-				Objects:     len(objs),
-				LoopCount:   obj.Runtime().LoopCount(),
-				LoopKicks:   obj.Runtime().LoopKicks(),
-				OnDemand:    obj.Runtime().OnDemandIterations(),
-				LastTick:    obj.Runtime().LastTick(),
-				Delta:       deltaValue(),
+				Shards:      rt.DispatchShards(),
+				Objects:     nd.Objects(),
+				LoopCount:   rt.LoopCount(),
+				LoopKicks:   rt.LoopKicks(),
+				OnDemand:    rt.OnDemandIterations(),
+				LastTick:    rt.LastTick(),
+				Delta:       deltaValue,
 				Registers:   registers(0),
 				PerObject:   perObject,
 				ShardDepths: shardDepths,
@@ -265,10 +243,9 @@ func main() {
 			}
 		})
 		if err := srv.Start(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("observability on http://%s (/metrics /statusz /debug/pprof/)\n", srv.Addr())
+		fmt.Fprintf(stdout, "observability on http://%s (/metrics /statusz /debug/pprof/)\n", srv.Addr())
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
@@ -276,10 +253,7 @@ func main() {
 		}()
 	}
 
-	fmt.Printf("node %d listening on %s (%s, %d peers)\n", *id, tr.Addr(), *algName, len(addrs))
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	fmt.Fprintf(stdout, "node %d listening on %s (%s, %d peers)\n", *id, tr.Addr(), *algName, len(addrs))
 
 	var writeTick, snapTick <-chan time.Time
 	if *write != "" {
@@ -292,51 +266,39 @@ func main() {
 		defer t.Stop()
 		snapTick = t.C
 	}
-	var tuneTick <-chan time.Time
-	if tuner != nil {
-		t := time.NewTicker(*tuneEach)
-		defer t.Stop()
-		tuneTick = t.C
-	}
 
 	// The periodic workload rotates over the hosted objects, so every
 	// object sees traffic (and its own register advances on /statusz).
 	seq, snapSeq := 0, 0
 	for {
 		select {
-		case <-stop:
-			s := tr.Counters().Snapshot()
-			fmt.Printf("\nshutting down; traffic:\n%s", s)
-			return
+		case <-ctx.Done():
+			fmt.Fprintf(stdout, "\nshutting down; traffic:\n%s", tr.Counters().Snapshot())
+			return nil
 		case <-writeTick:
 			seq++
-			o := seq % len(objs)
+			o := seq % nd.Objects()
 			v := types.Value(fmt.Sprintf("%s-%d", *write, seq))
 			start := time.Now()
-			if err := objs[o].Write(v); err != nil {
-				fmt.Printf("write %s obj %d: %v\n", v, o, err)
+			if err := nd.Object(o).Write(v); err != nil {
+				fmt.Fprintf(stdout, "write %s obj %d: %v\n", v, o, err)
 				continue
 			}
 			d := time.Since(start)
 			writeLat.Record(d)
-			fmt.Printf("wrote %q to obj %d in %v\n", v, o, d.Round(time.Millisecond))
-		case <-tuneTick:
-			if d, changed := tuner.Observe(writeLat.Stats(), snapLat.Stats()); changed {
-				deltaNode.SetDelta(d)
-				fmt.Printf("adaptive δ → %d (adjustment #%d)\n", d, tuner.Adjustments())
-			}
+			fmt.Fprintf(stdout, "wrote %q to obj %d in %v\n", v, o, d.Round(time.Millisecond))
 		case <-snapTick:
 			snapSeq++
-			o := snapSeq % len(objs)
+			o := snapSeq % nd.Objects()
 			start := time.Now()
-			snap, err := objs[o].Snapshot()
+			snap, err := nd.Object(o).Snapshot()
 			if err != nil {
-				fmt.Printf("snapshot obj %d: %v\n", o, err)
+				fmt.Fprintf(stdout, "snapshot obj %d: %v\n", o, err)
 				continue
 			}
 			d := time.Since(start)
 			snapLat.Record(d)
-			fmt.Printf("snapshot obj %d (%v): %s\n", o, d.Round(time.Millisecond), snap)
+			fmt.Fprintf(stdout, "snapshot obj %d (%v): %s\n", o, d.Round(time.Millisecond), snap)
 		}
 	}
 }

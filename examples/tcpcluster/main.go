@@ -1,62 +1,69 @@
 // A live cluster over real TCP sockets on localhost: the same algorithm
-// code that runs on the in-memory simulator, over actual connections.
+// code that runs on the in-memory simulator, assembled by the same
+// core.NewNode, over actual connections.
 //
 //	go run ./examples/tcpcluster
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
-	"selfstabsnap/internal/deltasnap"
-	"selfstabsnap/internal/node"
+	"selfstabsnap/internal/core"
 	"selfstabsnap/internal/tcpnet"
 	"selfstabsnap/internal/types"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	const n = 5
 
 	// One TCP transport per node, all listening on ephemeral localhost
 	// ports and dialling each other lazily.
 	mesh, err := tcpnet.NewMesh(n)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer mesh.Close()
 
-	opts := node.Options{LoopInterval: 5 * time.Millisecond, RetxInterval: 20 * time.Millisecond}
-	nodes := make([]*deltasnap.Node, n)
-	for i := 0; i < n; i++ {
-		nodes[i] = deltasnap.New(i, mesh.Transports[i], deltasnap.Config{Delta: 4, Runtime: opts})
-		nodes[i].Start()
-		fmt.Printf("node %d listening on %s\n", i, mesh.Transports[i].Addr())
-	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.Close()
+	cfg := core.Config{Algorithm: core.DeltaSS, Delta: 4, LoopInterval: 5 * time.Millisecond, RetxInterval: 20 * time.Millisecond}
+	nodes := make([]*core.Node, n)
+	for i := range nodes {
+		nd, err := core.NewNode(i, mesh.Transports[i], cfg)
+		if err != nil {
+			return err
 		}
-	}()
+		defer nd.Close()
+		nodes[i] = nd
+		fmt.Fprintf(w, "node %d listening on %s\n", i, mesh.Transports[i].Addr())
+	}
 
 	// Writes over real sockets.
-	for i := 0; i < n; i++ {
+	for i, nd := range nodes {
 		start := time.Now()
-		if err := nodes[i].Write(types.Value(fmt.Sprintf("tcp-hello-%d", i))); err != nil {
-			log.Fatalf("write at node %d: %v", i, err)
+		if err := nd.Object(0).Write(types.Value(fmt.Sprintf("tcp-hello-%d", i))); err != nil {
+			return fmt.Errorf("write at node %d: %w", i, err)
 		}
-		fmt.Printf("node %d wrote its register over TCP in %v\n", i, time.Since(start).Round(time.Microsecond))
+		fmt.Fprintf(w, "node %d wrote its register over TCP in %v\n", i, time.Since(start).Round(time.Microsecond))
 	}
 
 	// An atomic snapshot over real sockets.
 	start := time.Now()
-	snap, err := nodes[2].Snapshot()
+	snap, err := nodes[2].Object(0).Snapshot()
 	if err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("snapshot at node 2: %w", err)
 	}
-	fmt.Printf("\nsnapshot at node 2 in %v:\n", time.Since(start).Round(time.Microsecond))
+	fmt.Fprintf(w, "\nsnapshot at node 2 in %v:\n", time.Since(start).Round(time.Microsecond))
 	for id, e := range snap {
-		fmt.Printf("  register[%d] = %q (write #%d)\n", id, e.Val, e.TS)
+		fmt.Fprintf(w, "  register[%d] = %q (write #%d)\n", id, e.Val, e.TS)
 	}
 
 	var total, drops, evictions, reconnects int64
@@ -67,7 +74,8 @@ func main() {
 		evictions += c.Evictions()
 		reconnects += c.Reconnects()
 	}
-	fmt.Printf("\n%d TCP messages exchanged in total\n", total)
-	fmt.Printf("transport health: %d drops, %d inbox evictions, %d connections established\n",
+	fmt.Fprintf(w, "\n%d TCP messages exchanged in total\n", total)
+	fmt.Fprintf(w, "transport health: %d drops, %d inbox evictions, %d connections established\n",
 		drops, evictions, reconnects)
+	return nil
 }

@@ -71,20 +71,10 @@ type corpusEntry struct {
 	HistoryHash string `json:"history_hash,omitempty"`
 }
 
-var corpusAlgorithms = map[string]core.Algorithm{
-	"dg-nonblocking":   core.NonBlockingDG,
-	"ss-nonblocking":   core.NonBlockingSS,
-	"dg-alwaysterm":    core.AlwaysTerminatingDG,
-	"ss-delta":         core.DeltaSS,
-	"stacked":          core.StackedABD,
-	"ss-bounded":       core.BoundedSS,
-	"ss-bounded-delta": core.BoundedDeltaSS,
-}
-
 func (e corpusEntry) config() (Config, error) {
-	alg, ok := corpusAlgorithms[e.Alg]
-	if !ok {
-		return Config{}, fmt.Errorf("unknown algorithm %q", e.Alg)
+	alg, err := core.ParseAlgorithm(e.Alg)
+	if err != nil {
+		return Config{}, err
 	}
 	cfg := Config{
 		N: e.N, Algorithm: alg, Delta: e.Delta, Seed: e.Seed,

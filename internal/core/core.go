@@ -1,8 +1,9 @@
-// Package core is the public entry point of the library: it assembles a
-// cluster of snapshot-object nodes running any of the algorithms in this
-// repository over an in-memory adversarial network (or any other
-// netsim.Transport), and exposes the operations, fault-injection controls
-// and metrics that the examples, command-line tools and experiments use.
+// Package core is the public entry point of the library: it assembles
+// snapshot-object nodes running any of the algorithms in this repository
+// over any netsim.Transport (NewNode), or a whole cluster of them over an
+// in-memory adversarial network (NewCluster), and exposes the operations,
+// fault-injection controls and metrics that the examples, command-line
+// tools and experiments use.
 //
 // Quickstart:
 //
@@ -16,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"time"
 
 	"selfstabsnap/internal/alwaysterm"
@@ -26,6 +29,7 @@ import (
 	"selfstabsnap/internal/netsim"
 	"selfstabsnap/internal/node"
 	"selfstabsnap/internal/nonblocking"
+	"selfstabsnap/internal/obs"
 	"selfstabsnap/internal/simclock"
 	"selfstabsnap/internal/stacked"
 	"selfstabsnap/internal/types"
@@ -86,6 +90,33 @@ func (a Algorithm) String() string {
 	}
 }
 
+// algorithmNames are the command-line names of the algorithms, indexed by
+// Algorithm.
+var algorithmNames = [...]string{
+	NonBlockingDG:       "dg-nonblocking",
+	NonBlockingSS:       "ss-nonblocking",
+	AlwaysTerminatingDG: "dg-alwaysterm",
+	DeltaSS:             "ss-delta",
+	StackedABD:          "stacked",
+	BoundedSS:           "ss-bounded",
+	BoundedDeltaSS:      "ss-bounded-delta",
+}
+
+// AlgorithmNames lists the names ParseAlgorithm accepts, in Algorithm
+// order.
+func AlgorithmNames() []string { return slices.Clone(algorithmNames[:]) }
+
+// ParseAlgorithm maps a command-line name (case-insensitive) to its
+// Algorithm.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	for a, n := range algorithmNames {
+		if strings.EqualFold(n, name) {
+			return Algorithm(a), nil
+		}
+	}
+	return 0, fmt.Errorf("%w %q; choose from %s", ErrUnknownAlg, name, strings.Join(algorithmNames[:], ", "))
+}
+
 // Bounded reports whether the algorithm carries the §5 bounded-counter
 // wrapper, i.e. whether Config.MaxInt has any effect.
 func (a Algorithm) Bounded() bool {
@@ -102,13 +133,16 @@ func (a Algorithm) SelfStabilizing() bool {
 	return false
 }
 
-// Config describes a cluster.
+// Config describes a cluster. NewNode reads only the algorithm and runtime
+// fields; N, Seed, Adversary, Links, InboxCap and Trace describe the netsim
+// network NewCluster creates.
 type Config struct {
 	// N is the number of nodes; must be ≥ 3 for crash tolerance (2f < n).
 	N int
 	// Algorithm selects the protocol (default NonBlockingSS).
 	Algorithm Algorithm
-	// Delta is Algorithm 3's δ parameter (ignored by other algorithms).
+	// Delta is Algorithm 3's δ parameter, fixed for the node's lifetime
+	// (ignored by other algorithms).
 	Delta int64
 	// FullGossip disables delta gossip on the self-stabilizing algorithms:
 	// every tick sends the full per-peer gossip payload as in the paper's
@@ -116,12 +150,6 @@ type Config struct {
 	// (delta gossip on) suppresses sends the peer's fresh GOSSIPack
 	// already dominates.
 	FullGossip bool
-	// AdaptiveDelta retunes Algorithm 3's δ continuously from the live
-	// write/snapshot latency recorders (DeltaSS and BoundedDeltaSS only).
-	// Off by default: deterministic experiments keep δ fixed.
-	AdaptiveDelta bool
-	// TuneInterval is the adaptive-δ observation period (default 50ms).
-	TuneInterval time.Duration
 	// Seed drives all adversarial and corruption randomness (default 1).
 	Seed int64
 	// Adversary configures packet loss/duplication/delay.
@@ -158,6 +186,9 @@ type Config struct {
 	// the cluster. nil means real time; pass a *simclock.Virtual (and call
 	// cluster operations from its tasks) for deterministic simulation.
 	Clock simclock.Clock
+	// Journal, if non-nil, receives every node's self-stabilization events
+	// (see node.Options.Journal).
+	Journal *obs.Journal
 }
 
 // Object is the snapshot-object interface every algorithm implements: the
@@ -181,9 +212,13 @@ type instance interface {
 	Runtime() *node.Runtime
 }
 
-// member is one node: the shared host runtime and its object instances
-// (len 1 unless Config.Objects > 1).
-type member struct {
+// Node is one assembled node: a host runtime and the snapshot objects it
+// hosts (Config.Objects, default 1), multiplexed over one transport and one
+// dispatcher. NewCluster builds every member through NewNode, and a
+// process-per-node deployment (cmd/tcpnode) calls NewNode over its own
+// transport.
+type Node struct {
+	alg  Algorithm
 	rt   *node.Runtime
 	objs []instance
 }
@@ -193,15 +228,11 @@ type Cluster struct {
 	cfg     Config
 	clk     simclock.Clock
 	net     *netsim.Network
-	members []member
+	members []*Node
 	rng     *rand.Rand
 
 	writeLat metrics.LatencyRecorder
 	snapLat  metrics.LatencyRecorder
-
-	tuner  *deltasnap.Tuner // nil unless AdaptiveDelta
-	stopEv simclock.Event
-	wg     *simclock.Group
 }
 
 // Errors returned by cluster construction and control.
@@ -214,19 +245,33 @@ var (
 	ErrUnknownAlg     = errors.New("core: unknown algorithm")
 )
 
-// NewCluster builds and starts a cluster per cfg.
-func NewCluster(cfg Config) (*Cluster, error) {
-	if cfg.N < 3 {
-		return nil, fmt.Errorf("%w: need N ≥ 3, got %d", ErrBadConfig, cfg.N)
+// normalize validates cfg for an n-node deployment and fills in the
+// defaults every node needs.
+func (cfg Config) normalize(n int) (Config, error) {
+	if n < 3 {
+		return cfg, fmt.Errorf("%w: need N ≥ 3, got %d", ErrBadConfig, n)
+	}
+	if cfg.Algorithm < 0 || int(cfg.Algorithm) >= len(algorithmNames) {
+		return cfg, ErrUnknownAlg
 	}
 	if cfg.Objects <= 0 {
 		cfg.Objects = 1
 	}
 	if cfg.Objects > node.MaxObjects {
-		return nil, fmt.Errorf("%w: Objects %d exceeds node.MaxObjects %d", ErrBadConfig, cfg.Objects, node.MaxObjects)
+		return cfg, fmt.Errorf("%w: Objects %d exceeds node.MaxObjects %d", ErrBadConfig, cfg.Objects, node.MaxObjects)
 	}
-	if cfg.Objects > 1 && (cfg.Algorithm == BoundedSS || cfg.Algorithm == BoundedDeltaSS) {
-		return nil, fmt.Errorf("%w: %s does not support multi-object hosting (its epoch-fencing transport wrapper is per node)", ErrBadConfig, cfg.Algorithm)
+	if cfg.Objects > 1 && cfg.Algorithm.Bounded() {
+		return cfg, fmt.Errorf("%w: %s does not support multi-object hosting (its epoch-fencing transport wrapper is per node)", ErrBadConfig, cfg.Algorithm)
+	}
+	return cfg, nil
+}
+
+// NewCluster builds and starts a cluster per cfg over an in-memory netsim
+// network.
+func NewCluster(cfg Config) (*Cluster, error) {
+	cfg, err := cfg.normalize(cfg.N)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -241,113 +286,122 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Trace:     cfg.Trace,
 		Clock:     clk,
 	})
-	c := &Cluster{
-		cfg: cfg, clk: clk, net: net, rng: rand.New(rand.NewSource(cfg.Seed + 1)),
-		stopEv: clk.NewEvent(), wg: clk.NewGroup(),
-	}
-	ropts := node.Options{
-		LoopInterval: cfg.LoopInterval, RetxInterval: cfg.RetxInterval,
-		DispatchShards: cfg.DispatchShards, Clock: clk,
-	}
-	var deltaSetters []func(int64)
+	c := &Cluster{cfg: cfg, clk: clk, net: net, rng: rand.New(rand.NewSource(cfg.Seed + 1))}
+	ncfg := cfg
+	ncfg.Clock = clk
 	for i := 0; i < cfg.N; i++ {
-		m := member{objs: make([]instance, 0, cfg.Objects)}
-		for o := 0; o < cfg.Objects; o++ {
-			// Object 0 creates the host runtime; further objects attach to
-			// it.
-			ropt := ropts
-			if o > 0 {
-				ropt.Attach = m.rt
-			}
-			inst, setDelta, err := newInstance(cfg, i, net, ropt)
-			if err != nil {
-				net.Close()
-				return nil, err
-			}
-			if o == 0 {
-				m.rt = inst.Runtime()
-			}
-			m.objs = append(m.objs, inst)
-			if setDelta != nil {
-				deltaSetters = append(deltaSetters, setDelta)
-			}
+		nd, err := NewNode(i, net, ncfg)
+		if err != nil {
+			net.Close()
+			return nil, err
 		}
-		// Start only after the node's whole object table is registered:
-		// the table is immutable once the dispatchers run.
-		// node.Runtime.Start is idempotent, so starting each instance in
-		// order launches the host exactly once.
-		for _, inst := range m.objs {
-			inst.Start()
-		}
-		c.members = append(c.members, m)
-	}
-
-	if cfg.AdaptiveDelta && len(deltaSetters) > 0 {
-		c.tuner = deltasnap.NewTuner(cfg.Delta, deltasnap.TunerConfig{})
-		interval := cfg.TuneInterval
-		if interval <= 0 {
-			interval = 50 * time.Millisecond
-		}
-		c.wg.Add(1)
-		clk.Go("delta-tuner", func() {
-			defer c.wg.Done()
-			t := clk.NewTicker(interval)
-			defer t.Stop()
-			for {
-				if clk.Wait(c.stopEv, t) == 0 {
-					return
-				}
-				if d, changed := c.tuner.Observe(c.writeLat.Stats(), c.snapLat.Stats()); changed {
-					for _, set := range deltaSetters {
-						set(d)
-					}
-				}
-			}
-		})
+		c.members = append(c.members, nd)
 	}
 	return c, nil
 }
 
-// newInstance builds node i's instance of cfg.Algorithm without starting
-// it, plus Algorithm 3's live δ setter (nil for the other algorithms).
-func newInstance(cfg Config, i int, net netsim.Transport, ropt node.Options) (instance, func(int64), error) {
+// NewNode builds and starts node id of cfg.Algorithm over tr, a transport
+// the caller owns and closes after the node. The cluster size is tr.N().
+func NewNode(id int, tr netsim.Transport, cfg Config) (*Node, error) {
+	cfg, err := cfg.normalize(tr.N())
+	if err != nil {
+		return nil, err
+	}
+	if id < 0 || id >= tr.N() {
+		return nil, ErrUnknownNode
+	}
+	ropts := node.Options{
+		LoopInterval: cfg.LoopInterval, RetxInterval: cfg.RetxInterval,
+		DispatchShards: cfg.DispatchShards, Clock: cfg.Clock, Journal: cfg.Journal,
+	}
+	nd := &Node{alg: cfg.Algorithm, objs: make([]instance, cfg.Objects)}
+	for o := range nd.objs {
+		// Object 0 creates the host runtime; further objects attach to it.
+		ropt := ropts
+		if o > 0 {
+			ropt.Attach = nd.rt
+		}
+		nd.objs[o] = newInstance(cfg, id, tr, ropt)
+		if o == 0 {
+			nd.rt = nd.objs[0].Runtime()
+		}
+	}
+	// Start only after the node's whole object table is registered: the
+	// table is immutable once the dispatchers run. node.Runtime.Start is
+	// idempotent, so starting each instance in order launches the host
+	// exactly once.
+	for _, inst := range nd.objs {
+		inst.Start()
+	}
+	return nd, nil
+}
+
+// newInstance builds node i's instance of cfg.Algorithm, which normalize
+// has checked, without starting it.
+func newInstance(cfg Config, i int, tr netsim.Transport, ropt node.Options) instance {
 	bcfg := bounded.Config{MaxInt: cfg.MaxInt, AbortDuringReset: cfg.AbortDuringReset, FullGossip: cfg.FullGossip, Runtime: ropt}
 	switch cfg.Algorithm {
 	case NonBlockingDG:
-		return nonblocking.New(i, net, nonblocking.Config{Runtime: ropt}), nil, nil
+		return nonblocking.New(i, tr, nonblocking.Config{Runtime: ropt})
 	case NonBlockingSS:
-		return nonblocking.New(i, net, nonblocking.Config{SelfStabilizing: true, FullGossip: cfg.FullGossip, Runtime: ropt}), nil, nil
+		return nonblocking.New(i, tr, nonblocking.Config{SelfStabilizing: true, FullGossip: cfg.FullGossip, Runtime: ropt})
 	case AlwaysTerminatingDG:
-		return alwaysterm.New(i, net, alwaysterm.Config{Runtime: ropt}), nil, nil
+		return alwaysterm.New(i, tr, alwaysterm.Config{Runtime: ropt})
 	case DeltaSS:
-		nd := deltasnap.New(i, net, deltasnap.Config{Delta: cfg.Delta, FullGossip: cfg.FullGossip, Runtime: ropt})
-		return nd, nd.SetDelta, nil
+		return deltasnap.New(i, tr, deltasnap.Config{Delta: cfg.Delta, FullGossip: cfg.FullGossip, Runtime: ropt})
 	case StackedABD:
-		return stacked.New(i, net, stacked.Config{Runtime: ropt}), nil, nil
+		return stacked.New(i, tr, stacked.Config{Runtime: ropt})
 	case BoundedSS:
-		return bounded.New(i, net, bcfg), nil, nil
-	case BoundedDeltaSS:
-		nd := bounded.NewDelta(i, net, cfg.Delta, bcfg)
-		return nd, nd.Inner.(*deltasnap.Node).SetDelta, nil
+		return bounded.New(i, tr, bcfg)
+	default: // BoundedDeltaSS
+		return bounded.NewDelta(i, tr, cfg.Delta, bcfg)
 	}
-	return nil, nil, ErrUnknownAlg
 }
 
-// stabilizing returns node id's object o as the kernel-backed
-// self-stabilizing surface, or nil when its algorithm has none. The
-// Delporte-Gallet baseline of Algorithm 1 runs on the same kernel but has
-// no self-stabilization contract to inject faults into or check.
-func (c *Cluster) stabilizing(id, o int) bounded.Inner {
-	if !c.cfg.Algorithm.SelfStabilizing() {
+// Object returns the node's snapshot object o.
+func (nd *Node) Object(o int) Object { return nd.objs[o] }
+
+// Objects returns the number of snapshot objects the node hosts.
+func (nd *Node) Objects() int { return len(nd.objs) }
+
+// Runtime returns the host runtime every hosted object shares.
+func (nd *Node) Runtime() *node.Runtime { return nd.rt }
+
+// Registers returns a copy of object o's register vector.
+func (nd *Node) Registers(o int) types.RegVector {
+	switch k := nd.objs[o].(type) {
+	case interface{ StateSummary() kernel.View }:
+		return k.StateSummary().Reg
+	case *alwaysterm.Node:
+		return k.StateSummary().Reg
+	case *stacked.Node:
+		return k.StateSummary().Reg
+	}
+	return nil
+}
+
+// Close stops every hosted object.
+func (nd *Node) Close() {
+	for _, inst := range nd.objs {
+		inst.Close()
+	}
+}
+
+// stabilizing returns object o as the kernel-backed self-stabilizing
+// surface, or nil when its algorithm has none. The Delporte-Gallet
+// baseline of Algorithm 1 runs on the same kernel but has no
+// self-stabilization contract to inject faults into or check.
+func (nd *Node) stabilizing(o int) bounded.Inner {
+	if !nd.alg.SelfStabilizing() {
 		return nil
 	}
-	s, _ := c.members[id].objs[o].(bounded.Inner)
+	s, _ := nd.objs[o].(bounded.Inner)
 	return s
 }
 
-// DeltaTuner exposes the adaptive-δ controller, or nil when
-// Config.AdaptiveDelta is off (or the algorithm has no δ).
-func (c *Cluster) DeltaTuner() *deltasnap.Tuner { return c.tuner }
+// stabilizing returns node id's object o as the self-stabilizing surface
+// (see Node.stabilizing).
+func (c *Cluster) stabilizing(id, o int) bounded.Inner { return c.members[id].stabilizing(o) }
 
 // CorruptAckTable fills node id's delta-gossip ack tables (every hosted
 // object's — a transient fault hits the whole node's memory) with
@@ -392,10 +446,10 @@ func (c *Cluster) Objects() int { return c.cfg.Objects }
 func (c *Cluster) Config() Config { return c.cfg }
 
 // Object returns node id's snapshot object 0.
-func (c *Cluster) Object(id int) Object { return c.members[id].objs[0] }
+func (c *Cluster) Object(id int) Object { return c.members[id].Object(0) }
 
 // ObjectAt returns node id's snapshot object obj.
-func (c *Cluster) ObjectAt(id, obj int) Object { return c.members[id].objs[obj] }
+func (c *Cluster) ObjectAt(id, obj int) Object { return c.members[id].Object(obj) }
 
 // Bounded returns node id's bounded-counter wrapper, or nil when the
 // cluster does not run BoundedSS. Experiments use it to read reset
@@ -463,14 +517,14 @@ func (c *Cluster) WriteLatencies() metrics.LatencyStats { return c.writeLat.Stat
 func (c *Cluster) SnapshotLatencies() metrics.LatencyStats { return c.snapLat.Stats() }
 
 // Crash fails node id (it stops taking steps; messages to it are lost).
-func (c *Cluster) Crash(id int) { c.members[id].rt.Crash() }
+func (c *Cluster) Crash(id int) { c.members[id].Runtime().Crash() }
 
 // Resume lets node id take steps again without resetting state — the
 // paper's undetectable restart.
-func (c *Cluster) Resume(id int) { c.members[id].rt.Resume() }
+func (c *Cluster) Resume(id int) { c.members[id].Runtime().Resume() }
 
 // Crashed reports whether node id is currently failed.
-func (c *Cluster) Crashed(id int) bool { return c.members[id].rt.Crashed() }
+func (c *Cluster) Crashed(id int) bool { return c.members[id].Runtime().Crashed() }
 
 // RestartDetectable performs the paper's detectable restart at node id:
 // crash, re-initialise every variable, discard queued channel content, and
@@ -581,7 +635,7 @@ func (c *Cluster) objectInvariantsHold(o int) bool {
 	views := make([]*kernel.View, len(c.members))
 	for i := range c.members {
 		s := c.stabilizing(i, o)
-		if s == nil || c.members[i].rt.Crashed() {
+		if s == nil || c.members[i].Runtime().Crashed() {
 			continue
 		}
 		if !s.LocalInvariantHolds() {
@@ -613,7 +667,7 @@ func (c *Cluster) objectInvariantsHold(o int) bool {
 func (c *Cluster) LoopCounts() []int64 {
 	out := make([]int64, len(c.members))
 	for i := range c.members {
-		out[i] = c.members[i].rt.LoopCount()
+		out[i] = c.members[i].Runtime().LoopCount()
 	}
 	return out
 }
@@ -626,10 +680,10 @@ func (c *Cluster) AwaitCycles(k int64, timeout time.Duration) error {
 	for {
 		done := true
 		for i := range c.members {
-			if c.members[i].rt.Crashed() {
+			if c.members[i].Runtime().Crashed() {
 				continue
 			}
-			if c.members[i].rt.LoopCount()-start[i] < k {
+			if c.members[i].Runtime().LoopCount()-start[i] < k {
 				done = false
 				break
 			}
@@ -664,7 +718,7 @@ func (c *Cluster) CyclesToInvariant(timeout time.Duration) (int64, error) {
 			}
 			var maxD int64
 			for i, s := range c.LoopCounts() {
-				if c.members[i].rt.Crashed() {
+				if c.members[i].Runtime().Crashed() {
 					continue
 				}
 				if d := s - start[i]; d > maxD {
@@ -691,12 +745,8 @@ func (c *Cluster) Network() *netsim.Network { return c.net }
 
 // Close stops every node and the network.
 func (c *Cluster) Close() {
-	c.stopEv.Fire()
-	for i := range c.members {
-		for _, inst := range c.members[i].objs {
-			inst.Close()
-		}
+	for _, nd := range c.members {
+		nd.Close()
 	}
 	c.net.Close()
-	c.wg.Wait()
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"selfstabsnap/internal/netsim"
 	"selfstabsnap/internal/types"
 )
 
@@ -16,6 +17,79 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewCluster(Config{N: 3, Algorithm: Algorithm(99)}); !errors.Is(err, ErrUnknownAlg) {
 		t.Errorf("bad algorithm: err = %v, want ErrUnknownAlg", err)
+	}
+}
+
+func TestParseAlgorithmRoundTrips(t *testing.T) {
+	names := AlgorithmNames()
+	if len(names) != len(allAlgorithms()) {
+		t.Fatalf("%d names for %d algorithms", len(names), len(allAlgorithms()))
+	}
+	for _, a := range allAlgorithms() {
+		got, err := ParseAlgorithm(strings.ToUpper(names[a]))
+		if err != nil || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", names[a], got, err, a)
+		}
+	}
+	if _, err := ParseAlgorithm("paxos"); !errors.Is(err, ErrUnknownAlg) {
+		t.Errorf("unknown name: err = %v, want ErrUnknownAlg", err)
+	}
+}
+
+func TestNewNodeValidation(t *testing.T) {
+	net := netsim.New(netsim.Config{N: 3})
+	defer net.Close()
+	small := netsim.New(netsim.Config{N: 2})
+	defer small.Close()
+	for _, tc := range []struct {
+		name string
+		id   int
+		tr   netsim.Transport
+		cfg  Config
+		want error
+	}{
+		{"two nodes", 0, small, Config{}, ErrBadConfig},
+		{"id out of range", 3, net, Config{}, ErrUnknownNode},
+		{"unknown algorithm", 0, net, Config{Algorithm: Algorithm(99)}, ErrUnknownAlg},
+		{"multi-object bounded", 0, net, Config{Algorithm: BoundedSS, Objects: 2}, ErrBadConfig},
+	} {
+		if _, err := NewNode(tc.id, tc.tr, tc.cfg); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestNewNodeOverCallerTransport assembles every algorithm's nodes one at a
+// time over a transport the caller owns, as a process-per-node deployment
+// does, and reads the written register back through Node.Registers.
+func TestNewNodeOverCallerTransport(t *testing.T) {
+	for _, alg := range allAlgorithms() {
+		t.Run(alg.String(), func(t *testing.T) {
+			net := netsim.New(netsim.Config{N: 3})
+			defer net.Close()
+			nodes := make([]*Node, 3)
+			for i := range nodes {
+				nd, err := NewNode(i, net, Config{Algorithm: alg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer nd.Close()
+				nodes[i] = nd
+			}
+			if err := nodes[0].Object(0).Write(types.Value("v")); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := nodes[1].Object(0).Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(snap[0].Val) != "v" {
+				t.Errorf("snapshot entry 0 = %q, want \"v\"", snap[0].Val)
+			}
+			if reg := nodes[0].Registers(0); len(reg) != 3 || string(reg[0].Val) != "v" {
+				t.Errorf("writer's registers = %v", reg)
+			}
+		})
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"selfstabsnap/internal/kernel"
 	"selfstabsnap/internal/netsim"
@@ -42,8 +41,8 @@ import (
 type Config struct {
 	// Delta is the paper's δ: the number of observed concurrent write
 	// operations after which all nodes are recruited to finish a snapshot
-	// task (temporarily blocking writes). 0 recruits everyone immediately.
-	// This is the initial value; SetDelta retunes it live.
+	// task (temporarily blocking writes). 0 recruits everyone immediately;
+	// a negative value counts as 0. Fixed for the node's lifetime.
 	Delta int64
 	// FullGossip disables delta gossip: every tick sends the full per-peer
 	// gossip payload regardless of what the peer acknowledged, as in the
@@ -70,32 +69,16 @@ type Node struct {
 	mu sync.Mutex   // guards k and the parked write
 	k  kernel.State // ts, ssn, sns, reg, pndTsk
 
-	// deltaV is the live δ value (initialised from Config.Delta, retuned
-	// by SetDelta). Atomic so the adaptive tuner can adjust it without
-	// taking the algorithm lock.
-	deltaV atomic.Int64
+	delta int64 // δ, immutable after New
 }
 
 // New creates a node with identifier id over transport tr.
 func New(id int, tr netsim.Transport, cfg Config) *Node {
-	nd := &Node{id: id, k: kernel.New(id, tr.N(), true)}
-	nd.SetDelta(cfg.Delta)
+	nd := &Node{id: id, k: kernel.New(id, tr.N(), true), delta: max(cfg.Delta, 0)}
 	nd.rt = node.Bind(id, tr, nd, cfg.Runtime)
 	nd.g = kernel.NewGossip(nd.rt, cfg.FullGossip)
 	nd.Shell = kernel.NewShell(nd.rt, nd.g, &nd.mu, &nd.k, false)
 	return nd
-}
-
-// DeltaValue returns the live δ parameter.
-func (nd *Node) DeltaValue() int64 { return nd.deltaV.Load() }
-
-// SetDelta retunes the live δ parameter (clamped at 0). Takes effect on
-// the next helping decision; safe from any goroutine.
-func (nd *Node) SetDelta(d int64) {
-	if d < 0 {
-		d = 0
-	}
-	nd.deltaV.Store(d)
 }
 
 // deltaLocked is macro Δ (line 70): the snapshot tasks this node must help
@@ -105,7 +88,6 @@ func (nd *Node) SetDelta(d int64) {
 // unfinished task.
 func (nd *Node) deltaLocked() []wire.TaskInfo {
 	vc := nd.k.Reg.VC() // macro VC (line 69)
-	delta := nd.deltaV.Load()
 	var out []wire.TaskInfo
 	for k, p := range nd.k.Pnd {
 		include := false
@@ -114,9 +96,9 @@ func (nd *Node) deltaLocked() []wire.TaskInfo {
 			include = p.SNS > 0 && p.Fnl == nil
 		case p.Fnl != nil:
 			// finished: nothing to do
-		case delta == 0 && p.SNS > 0:
+		case nd.delta == 0 && p.SNS > 0:
 			include = true
-		case p.VC != nil && delta <= p.VC.DiffSum(vc):
+		case p.VC != nil && nd.delta <= p.VC.DiffSum(vc):
 			include = true
 		}
 		if include {
@@ -277,7 +259,7 @@ func (nd *Node) baseSnapshot(s map[int32]struct{}) {
 		exit := len(cur) == 0
 		if !exit && len(cur) == 1 && cur[0].Node == int32(nd.id) {
 			p := nd.k.Pnd[nd.id]
-			if p.SNS > 0 && p.Fnl == nil && p.VC != nil && nd.deltaV.Load() <= p.VC.DiffSum(nd.k.Reg.VC()) {
+			if p.SNS > 0 && p.Fnl == nil && p.VC != nil && nd.delta <= p.VC.DiffSum(nd.k.Reg.VC()) {
 				exit = true
 			}
 		}

@@ -5,8 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"selfstabsnap/internal/deltasnap"
-	"selfstabsnap/internal/nonblocking"
+	"selfstabsnap/internal/core"
 	"selfstabsnap/internal/types"
 	"selfstabsnap/internal/wire"
 )
@@ -20,59 +19,34 @@ import (
 // len(frame)-4 equal m.Size() regardless of From/To stamping, which is
 // what lets the equality be exact rather than approximate.
 func TestGossipByteAccountingReconcilesOverTCP(t *testing.T) {
-	const n = 3
-	run := func(t *testing.T, start func(mesh *Mesh, i int) (write func(types.Value) error, close func())) {
-		mesh, err := NewMesh(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mesh.Close()
-		writes := make([]func(types.Value) error, n)
-		closes := make([]func(), n)
-		for i := 0; i < n; i++ {
-			writes[i], closes[i] = start(mesh, i)
-		}
-		for i := 0; i < n; i++ {
-			if err := writes[i](types.Value(fmt.Sprintf("tcp-acct-%d", i))); err != nil {
-				t.Fatal(err)
+	for name, alg := range map[string]core.Algorithm{"nonblocking": core.NonBlockingSS, "deltasnap": core.DeltaSS} {
+		t.Run(name, func(t *testing.T) {
+			mesh, nodes := startCluster(t, 3, alg)
+			for i, nd := range nodes {
+				if err := nd.Object(0).Write(types.Value(fmt.Sprintf("tcp-acct-%d", i))); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		// Let several gossip rounds (and at least one staleness window)
-		// elapse so full, delta and suppressed sends all occur.
-		time.Sleep(300 * time.Millisecond)
-		// Quiesce the algorithms before reading: no tick may be mid-build.
-		for i := 0; i < n; i++ {
-			closes[i]()
-		}
+			// Let several gossip rounds (and at least one staleness window)
+			// elapse so full, delta and suppressed sends all occur.
+			time.Sleep(300 * time.Millisecond)
+			// Quiesce the algorithms before reading: no tick may be mid-build.
+			for _, nd := range nodes {
+				nd.Close()
+			}
 
-		for i := 0; i < n; i++ {
-			c := mesh.Transports[i].Counters()
-			snap := c.Snapshot()
-			if gotB, wantB := c.Bytes(wire.TGossip), snap.GossipFullBytes+snap.GossipDeltaBytes; gotB != wantB {
-				t.Errorf("node %d: transport metered %d gossip bytes, algorithm recorded %d (full %d + delta %d)",
-					i, gotB, wantB, snap.GossipFullBytes, snap.GossipDeltaBytes)
+			for i, tr := range mesh.Transports {
+				c := tr.Counters()
+				snap := c.Snapshot()
+				if gotB, wantB := c.Bytes(wire.TGossip), snap.GossipFullBytes+snap.GossipDeltaBytes; gotB != wantB {
+					t.Errorf("node %d: transport metered %d gossip bytes, algorithm recorded %d (full %d + delta %d)",
+						i, gotB, wantB, snap.GossipFullBytes, snap.GossipDeltaBytes)
+				}
+				if gotN, wantN := c.Messages(wire.TGossip), snap.GossipFull+snap.GossipDelta; gotN != wantN {
+					t.Errorf("node %d: transport metered %d gossip messages, algorithm recorded %d",
+						i, gotN, wantN)
+				}
 			}
-			if gotN, wantN := c.Messages(wire.TGossip), snap.GossipFull+snap.GossipDelta; gotN != wantN {
-				t.Errorf("node %d: transport metered %d gossip messages, algorithm recorded %d",
-					i, gotN, wantN)
-			}
-		}
+		})
 	}
-
-	t.Run("nonblocking", func(t *testing.T) {
-		run(t, func(mesh *Mesh, i int) (func(types.Value) error, func()) {
-			nd := nonblocking.New(i, mesh.Transports[i], nonblocking.Config{
-				SelfStabilizing: true, Runtime: tcpOpts(),
-			})
-			nd.Start()
-			return nd.Write, nd.Close
-		})
-	})
-	t.Run("deltasnap", func(t *testing.T) {
-		run(t, func(mesh *Mesh, i int) (func(types.Value) error, func()) {
-			nd := deltasnap.New(i, mesh.Transports[i], deltasnap.Config{Delta: 2, Runtime: tcpOpts()})
-			nd.Start()
-			return nd.Write, nd.Close
-		})
-	})
 }

@@ -6,14 +6,31 @@ import (
 	"testing"
 	"time"
 
-	"selfstabsnap/internal/deltasnap"
-	"selfstabsnap/internal/node"
-	"selfstabsnap/internal/nonblocking"
+	"selfstabsnap/internal/core"
 	"selfstabsnap/internal/types"
 )
 
-func tcpOpts() node.Options {
-	return node.Options{LoopInterval: 5 * time.Millisecond, RetxInterval: 20 * time.Millisecond}
+// startCluster assembles an n-node cluster of alg over a loopback mesh
+// through core.NewNode, as cmd/tcpnode builds its node; the nodes close
+// before the mesh when the test ends.
+func startCluster(t *testing.T, n int, alg core.Algorithm) (*Mesh, []*core.Node) {
+	t.Helper()
+	mesh, err := NewMesh(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mesh.Close)
+	cfg := core.Config{Algorithm: alg, Delta: 2, LoopInterval: 5 * time.Millisecond, RetxInterval: 20 * time.Millisecond}
+	nodes := make([]*core.Node, n)
+	for i := range nodes {
+		nd, err := core.NewNode(i, mesh.Transports[i], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(nd.Close)
+		nodes[i] = nd
+	}
+	return mesh, nodes
 }
 
 // TestAlgorithm1OverTCP runs the full self-stabilizing non-blocking
@@ -21,23 +38,7 @@ func tcpOpts() node.Options {
 // simulator veneer.
 func TestAlgorithm1OverTCP(t *testing.T) {
 	const n = 4
-	mesh, err := NewMesh(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mesh.Close()
-	nodes := make([]*nonblocking.Node, n)
-	for i := 0; i < n; i++ {
-		nodes[i] = nonblocking.New(i, mesh.Transports[i], nonblocking.Config{
-			SelfStabilizing: true, Runtime: tcpOpts(),
-		})
-		nodes[i].Start()
-	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	}()
+	_, nodes := startCluster(t, n, core.NonBlockingSS)
 
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -45,7 +46,7 @@ func TestAlgorithm1OverTCP(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 3; j++ {
-				if err := nodes[i].Write(types.Value(fmt.Sprintf("tcp-n%d-v%d", i, j))); err != nil {
+				if err := nodes[i].Object(0).Write(types.Value(fmt.Sprintf("tcp-n%d-v%d", i, j))); err != nil {
 					t.Errorf("write: %v", err)
 					return
 				}
@@ -54,7 +55,7 @@ func TestAlgorithm1OverTCP(t *testing.T) {
 	}
 	wg.Wait()
 
-	snap, err := nodes[1].Snapshot()
+	snap, err := nodes[1].Object(0).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,24 +70,9 @@ func TestAlgorithm1OverTCP(t *testing.T) {
 // the surviving majority keeps completing operations (TCP send failures
 // count as packet loss and retransmission rides over them).
 func TestAlgorithm3OverTCPWithNodeOutage(t *testing.T) {
-	const n = 5
-	mesh, err := NewMesh(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mesh.Close()
-	nodes := make([]*deltasnap.Node, n)
-	for i := 0; i < n; i++ {
-		nodes[i] = deltasnap.New(i, mesh.Transports[i], deltasnap.Config{Delta: 2, Runtime: tcpOpts()})
-		nodes[i].Start()
-	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	}()
+	mesh, nodes := startCluster(t, 5, core.DeltaSS)
 
-	if err := nodes[0].Write(types.Value("before-outage")); err != nil {
+	if err := nodes[0].Object(0).Write(types.Value("before-outage")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -94,13 +80,13 @@ func TestAlgorithm3OverTCPWithNodeOutage(t *testing.T) {
 	nodes[4].Runtime().Crash()
 	mesh.Transports[4].Close()
 
-	if err := nodes[1].Write(types.Value("during-outage")); err != nil {
+	if err := nodes[1].Object(0).Write(types.Value("during-outage")); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
 	var snap types.RegVector
 	var serr error
-	go func() { snap, serr = nodes[2].Snapshot(); close(done) }()
+	go func() { snap, serr = nodes[2].Object(0).Snapshot(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):

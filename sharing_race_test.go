@@ -8,11 +8,9 @@ import (
 	"testing"
 	"time"
 
-	"selfstabsnap/internal/bounded"
-	"selfstabsnap/internal/deltasnap"
+	"selfstabsnap/internal/core"
 	"selfstabsnap/internal/netsim"
 	"selfstabsnap/internal/node"
-	"selfstabsnap/internal/nonblocking"
 	"selfstabsnap/internal/tcpnet"
 	"selfstabsnap/internal/transporttest"
 	"selfstabsnap/internal/types"
@@ -24,7 +22,6 @@ type aliasObject interface {
 	Write(types.Value) error
 	Snapshot() (types.RegVector, error)
 	Corrupt(rng *rand.Rand)
-	Close()
 }
 
 // aliasHammer drives concurrent Write + Snapshot + Corrupt traffic (with
@@ -102,11 +99,7 @@ func aliasHammer(t *testing.T, nodes []aliasObject) {
 	transporttest.SweepFrozen(t)
 }
 
-func aliasRuntimeOpts() node.Options {
-	return node.Options{LoopInterval: time.Millisecond, RetxInterval: 2 * time.Millisecond}
-}
-
-// TestSharedStructureAliasSafety hammers both self-stabilizing algorithms
+// TestSharedStructureAliasSafety hammers the self-stabilizing algorithms
 // over both transports. The netsim transport shares payloads via
 // copy-on-write ShallowClones (maximum aliasing pressure); tcpnet marshals
 // through real sockets on the remote path but shares on loopback.
@@ -116,72 +109,43 @@ func TestSharedStructureAliasSafety(t *testing.T) {
 	}
 	const n = 4
 
-	mkNonblocking := func(tr func(k int) netsim.Transport) []aliasObject {
-		nodes := make([]aliasObject, n)
-		for k := 0; k < n; k++ {
-			nd := nonblocking.New(k, tr(k), nonblocking.Config{
-				SelfStabilizing: true, Runtime: aliasRuntimeOpts(),
-			})
-			nd.Start()
-			nodes[k] = nd
-		}
-		return nodes
-	}
-	mkDelta := func(tr func(k int) netsim.Transport) []aliasObject {
-		nodes := make([]aliasObject, n)
-		for k := 0; k < n; k++ {
-			nd := deltasnap.New(k, tr(k), deltasnap.Config{Delta: 1, Runtime: aliasRuntimeOpts()})
-			nd.Start()
-			nodes[k] = nd
-		}
-		return nodes
-	}
-
 	// The bounded wrappers run with a tiny MAXINT so overflow freezes —
 	// and therefore wrap-tick MAXIDX broadcasts, consensus rounds and
 	// InstallReset — all fire repeatedly under the hammer. The wrap tick
 	// attaches the live shared-structure register snapshot to every
 	// broadcast by reference; any code path mutating those payloads in
-	// place surfaces as a data race here.
-	mkBounded := func(tr func(k int) netsim.Transport) []aliasObject {
-		nodes := make([]aliasObject, n)
-		for k := 0; k < n; k++ {
-			nd := bounded.New(k, tr(k), bounded.Config{MaxInt: 6, Runtime: aliasRuntimeOpts()})
-			nd.Start()
-			nodes[k] = nd // Corrupt scrambles the wrapped algorithm's state
-		}
-		return nodes
-	}
-	mkBoundedDelta := func(tr func(k int) netsim.Transport) []aliasObject {
-		nodes := make([]aliasObject, n)
-		for k := 0; k < n; k++ {
-			nd := bounded.NewDelta(k, tr(k), 1, bounded.Config{MaxInt: 6, Runtime: aliasRuntimeOpts()})
-			nd.Start()
-			nodes[k] = nd // Corrupt scrambles the wrapped algorithm's state
-		}
-		return nodes
-	}
-
+	// place surfaces as a data race here. Corrupt on a bounded node
+	// scrambles the wrapped algorithm's state.
 	algorithms := []struct {
 		name string
-		mk   func(tr func(k int) netsim.Transport) []aliasObject
+		alg  core.Algorithm
 	}{
-		{"nonblocking", mkNonblocking},
-		{"deltasnap", mkDelta},
-		{"bounded", mkBounded},
-		{"bounded-delta", mkBoundedDelta},
+		{"nonblocking", core.NonBlockingSS},
+		{"deltasnap", core.DeltaSS},
+		{"bounded", core.BoundedSS},
+		{"bounded-delta", core.BoundedDeltaSS},
 	}
 	for _, alg := range algorithms {
+		cfg := core.Config{
+			Algorithm: alg.alg, Delta: 1, MaxInt: 6,
+			LoopInterval: time.Millisecond, RetxInterval: 2 * time.Millisecond,
+		}
+		hammer := func(t *testing.T, tr func(k int) netsim.Transport) {
+			objs := make([]aliasObject, n)
+			for k := range objs {
+				nd, err := core.NewNode(k, tr(k), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer nd.Close()
+				objs[k] = nd.Object(0).(aliasObject)
+			}
+			aliasHammer(t, objs)
+		}
 		t.Run(alg.name+"/netsim", func(t *testing.T) {
 			net := netsim.New(netsim.Config{N: n, Seed: 7})
 			defer net.Close()
-			nodes := alg.mk(func(int) netsim.Transport { return net })
-			defer func() {
-				for _, nd := range nodes {
-					nd.Close()
-				}
-			}()
-			aliasHammer(t, nodes)
+			hammer(t, func(int) netsim.Transport { return net })
 		})
 		t.Run(alg.name+"/tcpnet", func(t *testing.T) {
 			mesh, err := tcpnet.NewMesh(n)
@@ -189,13 +153,7 @@ func TestSharedStructureAliasSafety(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer mesh.Close()
-			nodes := alg.mk(func(k int) netsim.Transport { return mesh.Transports[k] })
-			defer func() {
-				for _, nd := range nodes {
-					nd.Close()
-				}
-			}()
-			aliasHammer(t, nodes)
+			hammer(t, func(k int) netsim.Transport { return mesh.Transports[k] })
 		})
 	}
 }
