@@ -12,145 +12,180 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"strings"
-	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"selfstabsnap/internal/core"
-	"selfstabsnap/internal/netsim"
+	"selfstabsnap/internal/simclock"
 	"selfstabsnap/internal/trace"
 	"selfstabsnap/internal/types"
 )
 
-func main() {
-	var (
-		algName   = flag.String("alg", "ss-nonblocking", "algorithm: "+strings.Join(core.AlgorithmNames(), ", "))
-		n         = flag.Int("n", 5, "cluster size")
-		delta     = flag.Int64("delta", 0, "Algorithm 3's δ parameter")
-		seed      = flag.Int64("seed", 1, "randomness seed")
-		writes    = flag.Int("writes", 10, "sequential writes from node 0")
-		snapshots = flag.Int("snapshots", 2, "snapshots from node 1")
-		writers   = flag.Int("writers", 0, "background writer nodes during the storm phase")
-		storm     = flag.Duration("storm", 0, "duration of a concurrent write storm")
-		drop      = flag.Float64("drop", 0, "packet drop probability")
-		dup       = flag.Float64("dup", 0, "packet duplication probability")
-		maxDelay  = flag.Duration("maxdelay", 0, "max packet delay (reordering)")
-		crash     = flag.Int("crash", 0, "crash this many highest-id nodes before the workload")
-		corrupt   = flag.Bool("corrupt", false, "inject a transient fault (full state corruption) mid-workload")
-		maxInt    = flag.Int64("maxint", 0, "ss-bounded overflow threshold (0 = default)")
-		showTrace = flag.Bool("trace", false, "print the message-sequence diagram (operations only)")
-	)
-	flag.Parse()
+// errUsage marks a bad command line; main exits with status 2 on it.
+var errUsage = errors.New("usage")
 
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop) // a second signal kills a run stuck in an operation
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// options is a parsed command line: the cluster and the workload.
+type options struct {
+	cfg                               core.Config
+	writes, snapshots, writers, crash int
+	storm                             time.Duration
+	corrupt, trace                    bool
+}
+
+// run parses args and runs the demo on the real clock. It stops between
+// operations once ctx is done.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	o, err := parse(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return err
+	}
+	return demo(ctx, o, simclock.Real(), stdout)
+}
+
+func parse(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("snapdemo", flag.ContinueOnError)
+	algName := fs.String("alg", "ss-nonblocking", "algorithm: "+strings.Join(core.AlgorithmNames(), ", "))
+	fs.IntVar(&o.cfg.N, "n", 5, "cluster size")
+	fs.Int64Var(&o.cfg.Delta, "delta", 0, "Algorithm 3's δ parameter")
+	fs.Int64Var(&o.cfg.Seed, "seed", 1, "randomness seed")
+	fs.IntVar(&o.writes, "writes", 10, "sequential writes from node 0")
+	fs.IntVar(&o.snapshots, "snapshots", 2, "snapshots from node 1")
+	fs.IntVar(&o.writers, "writers", 0, "background writer nodes during the storm phase")
+	fs.DurationVar(&o.storm, "storm", 0, "duration of a concurrent write storm")
+	fs.Float64Var(&o.cfg.Adversary.DropProb, "drop", 0, "packet drop probability")
+	fs.Float64Var(&o.cfg.Adversary.DupProb, "dup", 0, "packet duplication probability")
+	fs.DurationVar(&o.cfg.Adversary.MaxDelay, "maxdelay", 0, "max packet delay (reordering)")
+	fs.IntVar(&o.crash, "crash", 0, "crash this many highest-id nodes before the workload")
+	fs.BoolVar(&o.corrupt, "corrupt", false, "inject a transient fault (full state corruption) mid-workload")
+	fs.Int64Var(&o.cfg.MaxInt, "maxint", 0, "ss-bounded overflow threshold (0 = default)")
+	fs.BoolVar(&o.trace, "trace", false, "print the message-sequence diagram (operations only)")
+	if err := fs.Parse(args); err != nil {
+		return o, fmt.Errorf("%w: %w", errUsage, err)
+	}
 	alg, err := core.ParseAlgorithm(*algName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return o, fmt.Errorf("%w: %v", errUsage, err)
 	}
+	o.cfg.Algorithm = alg
+	return o, nil
+}
 
+// demo builds the cluster on clk, runs the workload and prints its results
+// to w.
+func demo(ctx context.Context, o options, clk simclock.Clock, w io.Writer) error {
 	var rec *trace.Recorder
-	cfg := core.Config{
-		N: *n, Algorithm: alg, Delta: *delta, Seed: *seed,
-		LoopInterval: time.Millisecond, RetxInterval: 3 * time.Millisecond,
-		Adversary: netsim.Adversary{DropProb: *drop, DupProb: *dup, MaxDelay: *maxDelay},
-		MaxInt:    *maxInt,
-	}
-	if *showTrace {
-		rec = trace.NewRecorder()
+	cfg := o.cfg
+	cfg.LoopInterval, cfg.RetxInterval, cfg.Clock = time.Millisecond, 3*time.Millisecond, clk
+	if o.trace {
+		rec = trace.NewRecorderClocked(clk)
 		cfg.Trace = rec
 	}
 	cluster, err := core.NewCluster(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	defer cluster.Close()
 
-	fmt.Printf("cluster: n=%d algorithm=%s δ=%d adversary{drop=%.0f%% dup=%.0f%% delay≤%v}\n\n",
-		*n, alg, *delta, *drop*100, *dup*100, *maxDelay)
+	adv := cfg.Adversary
+	fmt.Fprintf(w, "cluster: n=%d algorithm=%s δ=%d adversary{drop=%.0f%% dup=%.0f%% delay≤%v}\n\n",
+		cfg.N, cfg.Algorithm, cfg.Delta, adv.DropProb*100, adv.DupProb*100, adv.MaxDelay)
 
-	for i := 0; i < *crash; i++ {
-		id := *n - 1 - i
+	for i := 0; i < o.crash; i++ {
+		id := cfg.N - 1 - i
 		cluster.Crash(id)
-		fmt.Printf("crashed node %d\n", id)
+		fmt.Fprintf(w, "crashed node %d\n", id)
 	}
 
-	start := time.Now()
-	for i := 0; i < *writes; i++ {
+	start := clk.Now()
+	for i := 0; i < o.writes && ctx.Err() == nil; i++ {
 		v := types.Value(fmt.Sprintf("v%d", i))
 		if err := cluster.Write(0, v); err != nil {
-			fmt.Fprintf(os.Stderr, "write %d: %v\n", i, err)
-			os.Exit(1)
+			return fmt.Errorf("write %d: %w", i, err)
 		}
-		if *corrupt && i == *writes/2 {
+		if o.corrupt && i == o.writes/2 {
 			if err := cluster.CorruptAll(); err != nil {
-				fmt.Fprintf(os.Stderr, "corrupt: %v\n", err)
+				fmt.Fprintf(w, "corrupt: %v\n", err)
 			} else {
-				fmt.Printf("!! transient fault injected at every node after write %d\n", i)
+				fmt.Fprintf(w, "!! transient fault injected at every node after write %d\n", i)
 				if cycles, err := cluster.CyclesToInvariant(10 * time.Second); err == nil {
-					fmt.Printf("   recovered: consistency invariants restored within %d cycles\n", cycles)
+					fmt.Fprintf(w, "   recovered: consistency invariants restored within %d cycles\n", cycles)
 				}
 			}
 		}
 	}
-	fmt.Printf("%d writes from node 0 in %v\n", *writes, time.Since(start).Round(time.Microsecond))
+	fmt.Fprintf(w, "%d writes from node 0 in %v\n", o.writes, clk.Since(start).Round(time.Microsecond))
 
-	if *storm > 0 && *writers > 0 {
+	if o.storm > 0 && o.writers > 0 {
 		var ops atomic.Int64
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		for w := 1; w <= *writers && w < *n; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for j := 0; ; j++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if cluster.Write(w, types.Value(fmt.Sprintf("storm-%d-%d", w, j))) == nil {
+		stop := clk.NewEvent()
+		g := clk.NewGroup()
+		for wr := 1; wr <= o.writers && wr < cfg.N; wr++ {
+			g.Add(1)
+			clk.Go(fmt.Sprintf("storm-writer-%d", wr), func() {
+				defer g.Done()
+				for j := 0; !stop.Fired(); j++ {
+					if cluster.Write(wr, types.Value(fmt.Sprintf("storm-%d-%d", wr, j))) == nil {
 						ops.Add(1)
 					}
 				}
-			}(w)
+			})
 		}
-		sStart := time.Now()
+		sStart := clk.Now()
 		snap, err := cluster.Snapshot(0)
-		sLat := time.Since(sStart)
-		time.Sleep(*storm)
-		close(stop)
-		wg.Wait()
+		sLat := clk.Since(sStart)
+		clk.Sleep(o.storm)
+		stop.Fire()
+		g.Wait()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "storm snapshot: %v\n", err)
+			fmt.Fprintf(w, "storm snapshot: %v\n", err)
 		} else {
-			fmt.Printf("storm: %d concurrent writes; snapshot during storm took %v → %s\n",
+			fmt.Fprintf(w, "storm: %d concurrent writes; snapshot during storm took %v → %s\n",
 				ops.Load(), sLat.Round(time.Microsecond), snap)
 		}
 	}
 
-	for i := 0; i < *snapshots; i++ {
-		sStart := time.Now()
-		snap, err := cluster.Snapshot(1 % *n)
+	for i := 0; i < o.snapshots && ctx.Err() == nil; i++ {
+		sStart := clk.Now()
+		snap, err := cluster.Snapshot(1 % cfg.N)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot %d: %v\n", i, err)
-			os.Exit(1)
+			return fmt.Errorf("snapshot %d: %w", i, err)
 		}
-		fmt.Printf("snapshot %d (%v): %s\n", i, time.Since(sStart).Round(time.Microsecond), snap)
+		fmt.Fprintf(w, "snapshot %d (%v): %s\n", i, clk.Since(sStart).Round(time.Microsecond), snap)
 	}
 
 	if b := cluster.Bounded(0); b != nil {
-		fmt.Printf("\nbounded counters: resets=%d epoch=%d deferred=%d aborted=%d\n",
+		fmt.Fprintf(w, "\nbounded counters: resets=%d epoch=%d deferred=%d aborted=%d\n",
 			b.Resets(), b.Epoch(), b.DeferredOps(), b.AbortedOps())
 	}
 
-	fmt.Printf("\ntraffic:\n%s", cluster.Metrics())
+	fmt.Fprintf(w, "\ntraffic:\n%s", cluster.Metrics())
 
 	if rec != nil {
-		fmt.Printf("\nmessage-sequence trace:\n%s", rec.Render(*n))
+		fmt.Fprintf(w, "\nmessage-sequence trace:\n%s", rec.Render(cfg.N))
 	}
+	return ctx.Err()
 }

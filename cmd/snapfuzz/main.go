@@ -35,11 +35,15 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"selfstabsnap/internal/chaos"
@@ -49,51 +53,71 @@ import (
 	"selfstabsnap/internal/obs"
 )
 
+// errUsage marks a bad command line; main exits with status 2 on it.
+var errUsage = errors.New("usage")
+
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop) // a second signal kills a stuck run
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run parses args and fuzzes until the runs are done, the first violation
+// or, in sequential mode, ctx is done (checked between seeds).
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("snapfuzz", flag.ContinueOnError)
 	var (
-		algName   = flag.String("alg", "ss-nonblocking", "algorithm under test: "+strings.Join(core.AlgorithmNames(), ", "))
-		n         = flag.Int("n", 5, "cluster size")
-		delta     = flag.Int64("delta", 2, "δ for ss-delta")
-		runs      = flag.Int("runs", 20, "number of seeded runs")
-		seed      = flag.Int64("seed", 1, "first seed (seeds run seed..seed+runs-1)")
-		duration  = flag.Duration("duration", 250*time.Millisecond, "workload duration per run")
-		crash     = flag.Float64("crash", 15, "crash events per second (0 = none)")
-		partition = flag.Float64("partition", 0, "partition events per second (0 = none)")
-		ackCorr   = flag.Float64("ack-corrupt", 0, "delta-gossip ack-table corruptions per second (0 = none)")
-		corrupt   = flag.Bool("corrupt", false, "inject a transient fault before each run")
-		drop      = flag.Float64("drop", 0.05, "packet drop probability")
-		dup       = flag.Float64("dup", 0.05, "packet duplication probability")
-		virtual   = flag.Bool("virtual", false, "run on the deterministic virtual clock (no wall-clock sleeping)")
-		wanMatrix = flag.Int("wan-matrix", 0, "asymmetric WAN link matrix with this many latency regions (0 = uniform network)")
-		wanCross  = flag.Duration("wan-cross", time.Millisecond, "WAN matrix: cross-region delay bound")
-		wanDrop   = flag.Float64("wan-drop", 0.05, "WAN matrix: cross-region drop probability")
-		flap      = flag.Int("flap", 0, "flapping partitions: nodes on the periodic cut/heal train (0 = none)")
-		flapPer   = flag.Duration("flap-period", 0, "flapping partitions: pulse period (0 = default)")
-		flapDuty  = flag.Float64("flap-duty", 0, "flapping partitions: fraction of each period spent cut (0 = default)")
-		slowNode  = flag.Float64("slow-node", 0, "slow-but-alive windows per second (0 = none)")
-		slowFact  = flag.Float64("slow-factor", 0, "delay inflation while a node is slowed (0 = default)")
-		skewedRst = flag.Float64("skewed-restart", 0, "detectable restarts with recovery per second (0 = none)")
-		maxSkew   = flag.Duration("max-skew", 0, "skewed restarts: restart-window bound (0 = adaptive default)")
-		bankLoad  = flag.Bool("bank", false, "drive the checkpoint/restore bank workload instead of the generic one")
-		maxInt    = flag.Int64("max-int", 0, "bounded algorithms: overflow threshold MAXINT (0 = practically unbounded; >0 makes global resets fire)")
-		pinCrash  = flag.Bool("pin-crash", false, "crash node 0 for the whole checked phase (coordinator-crash mix for reset campaigns)")
-		abortRst  = flag.Bool("abort-reset", false, "abort in-flight ops when a reset commits instead of deferring them")
-		campaign  = flag.Bool("campaign", false, "campaign mode: shard seeds across workers, virtual time, minimize failures")
-		workers   = flag.Int("workers", 0, "campaign parallelism (0 = GOMAXPROCS)")
-		out       = flag.String("out", "", "campaign mode: write failures (seed + minimized schedule) as JSON to this file")
-		obsAddr   = flag.String("obs", "", "observability HTTP address for fuzz progress and pprof (empty = disabled)")
-		statsEach = flag.Duration("stats-every", 0, "sequential mode: print in-run progress every interval of the run's clock (0 = off)")
+		algName   = fs.String("alg", "ss-nonblocking", "algorithm under test: "+strings.Join(core.AlgorithmNames(), ", "))
+		n         = fs.Int("n", 5, "cluster size")
+		delta     = fs.Int64("delta", 2, "δ for ss-delta")
+		runs      = fs.Int("runs", 20, "number of seeded runs")
+		seed      = fs.Int64("seed", 1, "first seed (seeds run seed..seed+runs-1)")
+		duration  = fs.Duration("duration", 250*time.Millisecond, "workload duration per run")
+		crash     = fs.Float64("crash", 15, "crash events per second (0 = none)")
+		partition = fs.Float64("partition", 0, "partition events per second (0 = none)")
+		ackCorr   = fs.Float64("ack-corrupt", 0, "delta-gossip ack-table corruptions per second (0 = none)")
+		corrupt   = fs.Bool("corrupt", false, "inject a transient fault before each run")
+		drop      = fs.Float64("drop", 0.05, "packet drop probability")
+		dup       = fs.Float64("dup", 0.05, "packet duplication probability")
+		virtual   = fs.Bool("virtual", false, "run on the deterministic virtual clock (no wall-clock sleeping)")
+		wanMatrix = fs.Int("wan-matrix", 0, "asymmetric WAN link matrix with this many latency regions (0 = uniform network)")
+		wanCross  = fs.Duration("wan-cross", time.Millisecond, "WAN matrix: cross-region delay bound")
+		wanDrop   = fs.Float64("wan-drop", 0.05, "WAN matrix: cross-region drop probability")
+		flap      = fs.Int("flap", 0, "flapping partitions: nodes on the periodic cut/heal train (0 = none)")
+		flapPer   = fs.Duration("flap-period", 0, "flapping partitions: pulse period (0 = default)")
+		flapDuty  = fs.Float64("flap-duty", 0, "flapping partitions: fraction of each period spent cut (0 = default)")
+		slowNode  = fs.Float64("slow-node", 0, "slow-but-alive windows per second (0 = none)")
+		slowFact  = fs.Float64("slow-factor", 0, "delay inflation while a node is slowed (0 = default)")
+		skewedRst = fs.Float64("skewed-restart", 0, "detectable restarts with recovery per second (0 = none)")
+		maxSkew   = fs.Duration("max-skew", 0, "skewed restarts: restart-window bound (0 = adaptive default)")
+		bankLoad  = fs.Bool("bank", false, "drive the checkpoint/restore bank workload instead of the generic one")
+		maxInt    = fs.Int64("max-int", 0, "bounded algorithms: overflow threshold MAXINT (0 = practically unbounded; >0 makes global resets fire)")
+		pinCrash  = fs.Bool("pin-crash", false, "crash node 0 for the whole checked phase (coordinator-crash mix for reset campaigns)")
+		abortRst  = fs.Bool("abort-reset", false, "abort in-flight ops when a reset commits instead of deferring them")
+		campaign  = fs.Bool("campaign", false, "campaign mode: shard seeds across workers, virtual time, minimize failures")
+		workers   = fs.Int("workers", 0, "campaign parallelism (0 = GOMAXPROCS)")
+		out       = fs.String("out", "", "campaign mode: write failures (seed + minimized schedule) as JSON to this file")
+		obsAddr   = fs.String("obs", "", "observability HTTP address for fuzz progress and pprof (empty = disabled)")
+		statsEach = fs.Duration("stats-every", 0, "sequential mode: print in-run progress every interval of the run's clock (0 = off)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	alg, err := core.ParseAlgorithm(*algName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	if *corrupt && !alg.SelfStabilizing() {
-		fmt.Fprintf(os.Stderr, "-corrupt requires a self-stabilizing algorithm\n")
-		os.Exit(2)
+		return fmt.Errorf("%w: -corrupt requires a self-stabilizing algorithm", errUsage)
 	}
 
 	base := chaos.Config{
@@ -112,8 +136,7 @@ func main() {
 		AbortDuringReset:  *abortRst,
 	}
 	if *maxInt > 0 && !alg.Bounded() {
-		fmt.Fprintf(os.Stderr, "-max-int requires a bounded algorithm (ss-bounded, ss-bounded-delta)\n")
-		os.Exit(2)
+		return fmt.Errorf("%w: -max-int requires a bounded algorithm (ss-bounded, ss-bounded-delta)", errUsage)
 	}
 	if *wanMatrix > 0 {
 		base.WAN = &faults.WANSpec{Regions: *wanMatrix, Cross: *wanCross, DropProb: *wanDrop}
@@ -126,60 +149,55 @@ func main() {
 	}
 
 	prog := newFuzzProgress(*runs)
-	shutdownObs := func() {}
 	if *obsAddr != "" {
 		srv := obs.NewServer(*obsAddr)
 		srv.SetStatus(prog.status)
 		if err := srv.Start(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("observability on http://%s (/metrics /statusz /debug/pprof/)\n\n", srv.Addr())
-		shutdownObs = func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		fmt.Fprintf(stdout, "observability on http://%s (/metrics /statusz /debug/pprof/)\n\n", srv.Addr())
+		defer func() {
+			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			srv.Shutdown(ctx) //nolint:errcheck // best-effort drain on exit
-		}
-		defer shutdownObs()
+			srv.Shutdown(sctx) //nolint:errcheck // best-effort drain on exit
+		}()
 	}
 
 	if *campaign {
-		code := runCampaign(base, *seed, *runs, *workers, *out, prog)
-		shutdownObs()
-		os.Exit(code)
+		return runCampaign(base, *seed, *runs, *workers, *out, prog, stdout)
 	}
 
-	fmt.Printf("fuzzing %s: n=%d runs=%d duration=%v crash=%.0f/s partition=%.0f/s ack-corrupt=%.0f/s corrupt=%v virtual=%v\n\n",
+	fmt.Fprintf(stdout, "fuzzing %s: n=%d runs=%d duration=%v crash=%.0f/s partition=%.0f/s ack-corrupt=%.0f/s corrupt=%v virtual=%v\n\n",
 		alg, *n, *runs, *duration, *crash, *partition, *ackCorr, *corrupt, *virtual)
 
 	start := time.Now()
 	var totalOps int64
 	for i := 0; i < *runs; i++ {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
 		s := *seed + int64(i)
 		cfg := base
 		cfg.Seed = s
 		if *statsEach > 0 {
 			cfg.StatsEvery = *statsEach
-			cfg.OnStats = func(st chaos.Stats) { fmt.Printf("seed %-6d … %s\n", s, st) }
+			cfg.OnStats = func(st chaos.Stats) { fmt.Fprintf(stdout, "seed %-6d … %s\n", s, st) }
 		}
 		prog.startSeed(s)
 		res, err := chaos.Run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "seed %d: setup error: %v\n", s, err)
-			shutdownObs()
-			os.Exit(1)
+			return fmt.Errorf("seed %d: setup error: %w", s, err)
 		}
-		fmt.Printf("seed %-6d %s\n", s, res)
+		fmt.Fprintf(stdout, "seed %-6d %s\n", s, res)
 		totalOps += res.Writes + res.Snapshots
 		prog.finishSeed(res, res.Violation != nil)
 		if res.Violation != nil {
-			fmt.Fprintf(os.Stderr, "\nVIOLATION at seed %d — replay with -seed %d -runs 1\n", s, s)
-			shutdownObs()
-			os.Exit(1)
+			return fmt.Errorf("VIOLATION at seed %d — replay with -seed %d -runs 1", s, s)
 		}
 	}
-	fmt.Printf("\n%d runs, %d operations, 0 violations in %v\n",
+	fmt.Fprintf(stdout, "\n%d runs, %d operations, 0 violations in %v\n",
 		*runs, totalOps, time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 // fuzzProgress is the /statusz document of a fuzzing process, updated by
@@ -243,8 +261,10 @@ type campaignFailure struct {
 	Minimized []chaos.FaultEvent `json:"minimized,omitempty"`
 }
 
-func runCampaign(base chaos.Config, fromSeed int64, runs, workers int, out string, prog *fuzzProgress) int {
-	fmt.Printf("campaign %s: n=%d seeds=%d..%d duration=%v crash=%.0f/s partition=%.0f/s ack-corrupt=%.0f/s corrupt=%v\n\n",
+// runCampaign runs a campaign and, when a seed fails, writes the failure
+// artifact to out and returns an error.
+func runCampaign(base chaos.Config, fromSeed int64, runs, workers int, out string, prog *fuzzProgress, stdout io.Writer) error {
+	fmt.Fprintf(stdout, "campaign %s: n=%d seeds=%d..%d duration=%v crash=%.0f/s partition=%.0f/s ack-corrupt=%.0f/s corrupt=%v\n\n",
 		base.Algorithm, base.N, fromSeed, fromSeed+int64(runs)-1, base.Duration,
 		base.CrashRate, base.PartitionRate, base.AckCorruptRate, base.Corrupt)
 
@@ -261,17 +281,17 @@ func runCampaign(base chaos.Config, fromSeed int64, runs, workers int, out strin
 			// One line per ~5% so CI logs stay readable.
 			if done*20/total > lastTick || done == total {
 				lastTick = done * 20 / total
-				fmt.Printf("  %5d/%d seeds, %d failures, %v elapsed\n",
+				fmt.Fprintf(stdout, "  %5d/%d seeds, %d failures, %v elapsed\n",
 					done, total, failures, time.Since(start).Round(time.Millisecond))
 			}
 		},
 	})
 
-	fmt.Printf("\n%d seeds, %d writes, %d snapshots, %d failures in %v\n",
+	fmt.Fprintf(stdout, "\n%d seeds, %d writes, %d snapshots, %d failures in %v\n",
 		res.Seeds, res.Writes, res.Snapshots, len(res.Failures), time.Since(start).Round(time.Millisecond))
 
 	if len(res.Failures) == 0 {
-		return 0
+		return nil
 	}
 	artifacts := make([]campaignFailure, 0, len(res.Failures))
 	for _, f := range res.Failures {
@@ -283,7 +303,7 @@ func runCampaign(base chaos.Config, fromSeed int64, runs, workers int, out strin
 			a.Violation = f.Result.Violation.Error()
 		}
 		artifacts = append(artifacts, a)
-		fmt.Fprintf(os.Stderr, "FAIL seed %d: err=%v violation=%v schedule=%d events minimized=%d events\n",
+		fmt.Fprintf(stdout, "FAIL seed %d: err=%v violation=%v schedule=%d events minimized=%d events\n",
 			f.Seed, f.Err, f.Result.Violation, len(f.Result.Schedule), len(f.Minimized))
 	}
 	if out != "" {
@@ -292,10 +312,9 @@ func runCampaign(base chaos.Config, fromSeed int64, runs, workers int, out strin
 			err = os.WriteFile(out, append(blob, '\n'), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", out, err)
-		} else {
-			fmt.Fprintf(os.Stderr, "failure artifact written to %s\n", out)
+			return fmt.Errorf("%d failing seeds; writing %s: %w", len(res.Failures), out, err)
 		}
+		fmt.Fprintf(stdout, "failure artifact written to %s\n", out)
 	}
-	return 1
+	return fmt.Errorf("%d failing seeds", len(res.Failures))
 }

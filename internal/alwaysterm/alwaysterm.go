@@ -58,7 +58,7 @@ type Node struct {
 func New(id int, tr netsim.Transport, cfg Config) *Node {
 	nd := &Node{id: id, k: kernel.New(id, tr.N(), false), repSnap: make(map[TaskKey]types.RegVector)}
 	nd.rt = node.Bind(id, tr, nd, cfg.Runtime)
-	nd.Shell = kernel.NewShell(nd.rt, kernel.NewGossip(nd.rt, true), &nd.mu, &nd.k, true)
+	nd.Shell = kernel.NewShell(nd.rt, kernel.NewGossip(nd.rt), &nd.mu, &nd.k, true)
 	nd.rb = rbcast.New(id, tr.N(), func(to int, m *wire.Message) { nd.rt.Send(to, m) }, nd.rbDeliver)
 	nd.rb.UseFanout(nd.rt.SendToMany) // marshal-once relay on capable transports
 	return nd

@@ -8,6 +8,7 @@ import (
 
 	"selfstabsnap/internal/netsim"
 	"selfstabsnap/internal/node"
+	"selfstabsnap/internal/simclock"
 	"selfstabsnap/internal/types"
 	"selfstabsnap/internal/wire"
 )
@@ -90,24 +91,46 @@ func TestAlwaysTerminationUnderWriteStorm(t *testing.T) {
 
 // TestSnapshotCostIsQuadratic: every node serves the task, so SNAPSHOT
 // traffic comes from many senders — Θ(n²) messages per snapshot overall.
+// It runs on a virtual clock, so the count is a deterministic function of
+// the seed and is pinned exactly.
 func TestSnapshotCostIsQuadratic(t *testing.T) {
 	const n = 5
-	nodes, net := newCluster(t, n, netsim.Adversary{MaxDelay: time.Millisecond}, 3)
-	if err := nodes[1].Write(types.Value("w")); err != nil {
-		t.Fatal(err)
-	}
-	before := net.Counters().Snapshot()
-	if _, err := nodes[0].Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	diff := net.Counters().Snapshot().Sub(before)
-	snaps := diff.PerType[wire.TSnapshot].Messages
-	// All n nodes broadcast at least one SNAPSHOT round of n messages each;
-	// allow scheduling slack on the lower side but require clearly more
-	// than one node's worth.
-	if snaps < int64(2*n) {
-		t.Errorf("SNAPSHOT messages = %d, want ≥ 2n=%d (joint serving)", snaps, 2*n)
-	}
+	v := simclock.NewVirtual()
+	v.Run("alwaysterm-snapshot-cost", func() {
+		net := netsim.New(netsim.Config{N: n, Seed: 3, Adversary: netsim.Adversary{MaxDelay: time.Millisecond}, Clock: v})
+		opts := fastOpts()
+		opts.Clock = v
+		nodes := make([]*Node, n)
+		for i := range nodes {
+			nodes[i] = New(i, net, Config{Runtime: opts})
+			nodes[i].Start()
+		}
+		defer func() {
+			for _, nd := range nodes {
+				nd.Close()
+			}
+			net.Close()
+		}()
+		if err := nodes[1].Write(types.Value("w")); err != nil {
+			t.Errorf("write: %v", err)
+			return
+		}
+		const settle = 20 * time.Millisecond // stragglers, in virtual time
+		v.Sleep(settle)
+		before := net.Counters().Snapshot()
+		if _, err := nodes[0].Snapshot(); err != nil {
+			t.Errorf("snapshot: %v", err)
+			return
+		}
+		v.Sleep(settle)
+		snaps := net.Counters().Snapshot().Sub(before).PerType[wire.TSnapshot].Messages
+		// Under this seed's delays four nodes serve the task, one SNAPSHOT
+		// round of n messages each; the fifth sees END before its loop
+		// reaches the task. 4n is clearly more than one node's worth (2n).
+		if want := int64(4 * n); snaps != want {
+			t.Errorf("SNAPSHOT messages = %d, want %d (joint serving)", snaps, want)
+		}
+	})
 }
 
 // TestResultRememberedForever: repSnap retains every result (unbounded

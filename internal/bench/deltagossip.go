@@ -10,24 +10,25 @@ import (
 )
 
 // Delta-gossip measurement windows, in do-forever loop ticks. The settle
-// window lets every node learn its peers' first acks (and reach
-// suppression steady state in delta mode); the measured window then spans
-// several ack-staleness periods so the periodic full-refresh traffic is
-// averaged in, not dodged.
+// window lets every node learn its peers' first acks and reach suppression
+// steady state; the measured window then spans several ack-staleness
+// periods so the periodic full-refresh traffic is averaged in, not dodged.
 const (
 	dgSettleTicks  = 24
 	dgMeasureTicks = 36
 )
 
 // dgBytesPerTick runs an idle n-node cluster with ν-byte register values
-// on a virtual clock and returns the cluster-wide gossip bandwidth —
-// (TGossip + TGossipAck) bytes per loop tick — over the measured window.
-// The virtual clock makes the result an exact deterministic function of
-// (n, ν, fullGossip): the regression guard compares these numbers across
-// builds, not across machines.
-func dgBytesPerTick(n, payload int, fullGossip bool) float64 {
+// on a virtual clock and returns two cluster-wide gossip bandwidths over
+// the measured window, in bytes per loop tick. delta is what delta gossip
+// sends (TGossip + TGossipAck). full is what the paper's full-vector gossip
+// sends: each per-peer decision (full, delta or suppressed) is one of its
+// n(n−1) GOSSIP messages per tick, and each of those is the size of a full
+// send. The virtual clock makes both an exact deterministic function of
+// (n, ν): the regression guard compares them across builds, not across
+// machines.
+func dgBytesPerTick(n, payload int) (full, delta float64) {
 	v := simclock.NewVirtual()
-	var bpt float64
 	v.Run("deltagossip", func() {
 		cfg := core.Config{
 			N:            n,
@@ -35,7 +36,6 @@ func dgBytesPerTick(n, payload int, fullGossip bool) float64 {
 			Seed:         9000 + int64(n) + int64(payload),
 			LoopInterval: time.Millisecond,
 			RetxInterval: 3 * time.Millisecond,
-			FullGossip:   fullGossip,
 			Clock:        v,
 		}
 		c := mustCluster(cfg)
@@ -49,9 +49,10 @@ func dgBytesPerTick(n, payload int, fullGossip bool) float64 {
 		v.Sleep(dgMeasureTicks * cfg.LoopInterval)
 		diff := c.Metrics().Sub(before)
 		ticks := float64(sumLoops(c)-loops0) / float64(n)
-		bpt = float64(diff.BytesOf(wire.TGossip, wire.TGossipAck)) / ticks
+		full = float64(diff.GossipDecisions()) * float64(diff.GossipFullBytes) / float64(diff.GossipFull) / ticks
+		delta = float64(diff.BytesOf(wire.TGossip, wire.TGossipAck)) / ticks
 	})
-	return bpt
+	return full, delta
 }
 
 func sumLoops(c *core.Cluster) int64 {
@@ -81,12 +82,12 @@ func RunDeltaGossip(p Params) []*Table {
 	}
 	for _, n := range sizes {
 		for _, payload := range []int{256, 4096} {
-			full := dgBytesPerTick(n, payload, true)
-			delta := dgBytesPerTick(n, payload, false)
+			full, delta := dgBytesPerTick(n, payload)
 			t.AddRow(fmt.Sprint(n), fmt.Sprint(payload), f1(full), f1(delta), f1(full/delta)+"x")
 		}
 	}
 	t.AddNote("idle cluster, virtual clock: numbers are deterministic per build")
-	t.AddNote("delta mode pays one full send + one GOSSIPack per peer per staleness window (8 ticks); full mode resends every tick")
+	t.AddNote("delta mode pays one full send + one GOSSIPack per peer per staleness window (8 ticks); the paper's full-vector gossip resends every tick")
+	t.AddNote("full column: the same run's per-peer gossip decisions × its full-send size, i.e. the paper's n(n−1) GOSSIP messages per tick")
 	return []*Table{t}
 }

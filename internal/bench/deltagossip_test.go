@@ -7,8 +7,7 @@ import "testing"
 // least 5× — the tentpole claim. Virtual-clock determinism makes this a
 // stable equality-grade assertion, not a flaky perf test.
 func TestDeltaGossipReductionFloor(t *testing.T) {
-	full := dgBytesPerTick(16, 4096, true)
-	delta := dgBytesPerTick(16, 4096, false)
+	full, delta := dgBytesPerTick(16, 4096)
 	if delta <= 0 || full/delta < 5 {
 		t.Fatalf("reduction = %.1fx (full %.0f, delta %.0f B/tick), want ≥ 5x", full/delta, full, delta)
 	}
@@ -24,7 +23,8 @@ func TestDeltaGossipReductionFloor(t *testing.T) {
 func TestDeltaGossipRegressionGuard(t *testing.T) {
 	base := loadGuardBaseline(t, "DELTAGOSSIP_GUARD", "deltagossip", 1)
 	// Columns 2 and 3 are full and delta bytes/tick; both are guarded so a
-	// regression in either mode (or in the ack overhead) is caught.
+	// growth of the full send, the decisions per tick or the delta traffic
+	// (acks included) is caught.
 	guardTable(t, RunDeltaGossip(Params{})[0], base.Tables[0], []int{0, 1},
 		[]guarded{{col: 2}, {col: 3}})
 }

@@ -7,7 +7,8 @@ import (
 	"time"
 
 	"selfstabsnap/internal/core"
-	"selfstabsnap/internal/nonblocking"
+	"selfstabsnap/internal/netsim"
+	"selfstabsnap/internal/simclock"
 	"selfstabsnap/internal/trace"
 	"selfstabsnap/internal/types"
 	"selfstabsnap/internal/wire"
@@ -17,7 +18,8 @@ import (
 // workload under Delporte-Gallet's Algorithm 1 (upper drawing) and the
 // self-stabilizing variant (lower drawing). The paper's point: the
 // operations exchange identical messages; the self-stabilizing version
-// only adds gossip that "does not interfere with other messages".
+// only adds gossip that "does not interfere with other messages". Each leg
+// runs on a virtual clock, so every count is exact.
 func RunE1(p Params) []*Table {
 	counts := &Table{
 		ID:      "E1",
@@ -27,78 +29,69 @@ func RunE1(p Params) []*Table {
 	var figures []*Table
 
 	for _, alg := range []core.Algorithm{core.NonBlockingDG, core.NonBlockingSS} {
-		rec := trace.NewRecorder()
-		rec.SetFilter(wire.TWrite, wire.TWriteAck, wire.TSnapshot, wire.TSnapshotAck)
-		cfg := fastCfg(alg, 4, 101)
-		cfg.Trace = rec
-		c := mustCluster(cfg)
+		v := simclock.NewVirtual()
+		v.Run("E1", func() {
+			rec := trace.NewRecorderClocked(v)
+			rec.SetFilter(wire.TWrite, wire.TWriteAck, wire.TSnapshot, wire.TSnapshotAck)
+			cfg := fastCfg(alg, 4, 101)
+			cfg.Clock = v
+			cfg.Trace = rec
+			// A fixed link delay gives the space-time diagram a time axis.
+			cfg.Adversary = netsim.Adversary{MinDelay: 100 * time.Microsecond, MaxDelay: 100 * time.Microsecond}
+			c := mustCluster(cfg)
+			defer c.Close()
 
-		rec.Mark(0, "p0 invokes write(v1)")
-		mustDo(c.Write(0, types.Value("v1")))
-		// The write returned at a majority, which need not include p1. Were
-		// p0's WRITE to reach p1 in the middle of its snapshot, the double
-		// collect would take a second round in this leg and not the other.
-		awaitRegister(c, 1, 0, 1)
-		rec.Mark(1, "p1 invokes snapshot()")
-		if _, err := c.Snapshot(1); err != nil {
-			panic(err)
-		}
-		rec.Mark(0, "p0 invokes write(v2)")
-		mustDo(c.Write(0, types.Value("v2")))
-		rec.Mark(0, "workload complete")
-		time.Sleep(10 * time.Millisecond) // let straggler acks be metered
-		m := c.Metrics()
+			// Every link has the same delay, so p0's WRITE reaches p1 before
+			// the write returns and p1's snapshot takes one collect in both
+			// legs.
+			rec.Mark(0, "p0 invokes write(v1)")
+			mustDo(c.Write(0, types.Value("v1")))
+			rec.Mark(1, "p1 invokes snapshot()")
+			if _, err := c.Snapshot(1); err != nil {
+				panic(err)
+			}
+			rec.Mark(0, "p0 invokes write(v2)")
+			mustDo(c.Write(0, types.Value("v2")))
+			rec.Mark(0, "workload complete")
+			v.Sleep(10 * time.Millisecond) // let straggler acks be metered
+			m := c.Metrics()
 
-		// Gossip rate measured over a steady window after the workload.
-		loopsBefore := c.LoopCounts()
-		gBefore := c.Metrics()
-		time.Sleep(40 * time.Millisecond)
-		gdiff := c.Metrics().Sub(gBefore)
-		var loopSum int64
-		for i, l := range c.LoopCounts() {
-			loopSum += l - loopsBefore[i]
-		}
-		gossipPerCycle := 0.0
-		if loopSum > 0 {
-			gossipPerCycle = float64(gdiff.PerType[wire.TGossip].Messages) / (float64(loopSum) / 4)
-		}
-		counts.AddRow(alg.String(),
-			fmt.Sprint(m.PerType[wire.TWrite].Messages),
-			fmt.Sprint(m.PerType[wire.TWriteAck].Messages),
-			fmt.Sprint(m.PerType[wire.TSnapshot].Messages),
-			fmt.Sprint(m.PerType[wire.TSnapshotAck].Messages),
-			f1(gossipPerCycle),
-		)
+			counts.AddRow(alg.String(),
+				fmt.Sprint(m.PerType[wire.TWrite].Messages),
+				fmt.Sprint(m.PerType[wire.TWriteAck].Messages),
+				fmt.Sprint(m.PerType[wire.TSnapshot].Messages),
+				fmt.Sprint(m.PerType[wire.TSnapshotAck].Messages),
+				f1(gossipPerCycle(v, c, 40*time.Millisecond)),
+			)
 
-		fig := &Table{
-			ID:      "E1-fig",
-			Title:   fmt.Sprintf("space-time diagram (%s), operations only", alg),
-			Headers: []string{"trace"},
-		}
-		for _, line := range splitLines(rec.Render(4)) {
-			fig.AddRow(line)
-		}
-		figures = append(figures, fig)
-		c.Close()
+			fig := &Table{
+				ID:      "E1-fig",
+				Title:   fmt.Sprintf("space-time diagram (%s), operations only", alg),
+				Headers: []string{"trace"},
+			}
+			for _, line := range splitLines(rec.Render(4)) {
+				fig.AddRow(line)
+			}
+			figures = append(figures, fig)
+		})
 	}
 	counts.AddNote("operation message flows are identical across the two variants; the self-stabilizing version adds only O(n²) GOSSIP per asynchronous cycle (paper Fig. 1)")
 	return append([]*Table{counts}, figures...)
 }
 
-// awaitRegister waits until node id's register vector holds writer's write
-// number ts (or a later one), that is until id has handled that WRITE.
-func awaitRegister(c *core.Cluster, id, writer int, ts int64) {
-	nd := c.Object(id).(*nonblocking.Node)
-	for deadline := time.Now().Add(5 * time.Second); nd.StateSummary().Reg[writer].TS < ts; time.Sleep(100 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			panic(fmt.Sprintf("bench: p%d never saw p%d's write %d", id, writer, ts))
-		}
-	}
+// gossipPerCycle idles c for window of virtual time and returns its gossip
+// decisions per cluster cycle, a cycle being one full iteration at every
+// node.
+func gossipPerCycle(v *simclock.Virtual, c *core.Cluster, window time.Duration) float64 {
+	loops0, before := sumLoops(c), c.Metrics()
+	v.Sleep(window)
+	cycles := float64(sumLoops(c)-loops0) / float64(c.N())
+	return float64(c.Metrics().Sub(before).GossipDecisions()) / cycles
 }
 
 // RunE2 measures Algorithm 1's communication complexity: O(n) messages of
 // O(n·ν) bits per write/snapshot, plus n(n-1) gossip messages of O(ν) bits
-// per cycle.
+// per cycle. It runs on a virtual clock, so every count is exact.
 func RunE2(p Params) []*Table {
 	t := &Table{
 		ID:    "E2",
@@ -112,63 +105,61 @@ func RunE2(p Params) []*Table {
 	}
 	for _, n := range ns {
 		for _, nu := range []int{16, 256} {
-			c := mustCluster(fastCfg(core.NonBlockingSS, n, int64(200+n+nu)))
-			// Warm up: every node writes once (so all register entries and
-			// gossip payloads carry ν bytes) and a snapshot settles reg.
-			for i := 0; i < n; i++ {
-				mustDo(c.Write(i, value(nu, byte('A'+i))))
-			}
-			if _, err := c.Snapshot(0); err != nil {
-				panic(err)
-			}
-
-			const k = 10
-			before := c.Metrics()
-			for i := 0; i < k; i++ {
-				mustDo(c.Write(0, value(nu, byte('a'+i))))
-			}
-			wdiff := c.Metrics().Sub(before)
-
-			before = c.Metrics()
-			for i := 0; i < k; i++ {
+			v := simclock.NewVirtual()
+			v.Run("E2", func() {
+				cfg := fastCfg(core.NonBlockingSS, n, int64(200+n+nu))
+				cfg.Clock = v
+				c := mustCluster(cfg)
+				defer c.Close()
+				// Warm up: every node writes once (so all register entries and
+				// gossip payloads carry ν bytes) and a snapshot settles reg.
+				for i := 0; i < n; i++ {
+					mustDo(c.Write(i, value(nu, byte('A'+i))))
+				}
 				if _, err := c.Snapshot(0); err != nil {
 					panic(err)
 				}
-			}
-			sdiff := c.Metrics().Sub(before)
+				// An operation returns at a majority; each settle lets the
+				// stragglers' acks be metered with the operations they answer.
+				const settle = 10 * time.Millisecond
+				v.Sleep(settle)
 
-			// Gossip rate over a measured window.
-			loopsBefore := c.LoopCounts()
-			gBefore := c.Metrics()
-			time.Sleep(60 * time.Millisecond)
-			gdiff := c.Metrics().Sub(gBefore)
-			var loopSum int64
-			for i, l := range c.LoopCounts() {
-				loopSum += l - loopsBefore[i]
-			}
-			cycles := float64(loopSum) / float64(n) // full cluster cycles
-			g := gdiff.PerType[wire.TGossip]
-			gossipPerCycle := 0.0
-			if cycles > 0 {
-				gossipPerCycle = float64(g.Messages) / cycles
-			}
-			gossipBytes := int64(0)
-			if g.Messages > 0 {
-				gossipBytes = g.Bytes / g.Messages
-			}
+				const k = 10
+				before := c.Metrics()
+				for i := 0; i < k; i++ {
+					mustDo(c.Write(0, value(nu, byte('a'+i))))
+				}
+				v.Sleep(settle)
+				wdiff := c.Metrics().Sub(before)
 
-			t.AddRow(
-				fmt.Sprint(n), fmt.Sprint(nu),
-				f1(float64(wdiff.MessagesOf(wire.TWrite, wire.TWriteAck))/k),
-				f1(float64(wdiff.BytesOf(wire.TWrite, wire.TWriteAck))/k),
-				f1(float64(sdiff.MessagesOf(wire.TSnapshot, wire.TSnapshotAck))/k),
-				f1(float64(sdiff.BytesOf(wire.TSnapshot, wire.TSnapshotAck))/k),
-				f1(gossipPerCycle), fmt.Sprint(n*(n-1)), fmt.Sprint(gossipBytes),
-			)
-			c.Close()
+				before = c.Metrics()
+				for i := 0; i < k; i++ {
+					if _, err := c.Snapshot(0); err != nil {
+						panic(err)
+					}
+				}
+				v.Sleep(settle)
+				sdiff := c.Metrics().Sub(before)
+
+				// Gossip over a measured window: decisions per cycle, and
+				// the size of the full send each one stands for.
+				before = c.Metrics()
+				perCycle := gossipPerCycle(v, c, 60*time.Millisecond)
+				gdiff := c.Metrics().Sub(before)
+
+				t.AddRow(
+					fmt.Sprint(n), fmt.Sprint(nu),
+					f1(float64(wdiff.MessagesOf(wire.TWrite, wire.TWriteAck))/k),
+					f1(float64(wdiff.BytesOf(wire.TWrite, wire.TWriteAck))/k),
+					f1(float64(sdiff.MessagesOf(wire.TSnapshot, wire.TSnapshotAck))/k),
+					f1(float64(sdiff.BytesOf(wire.TSnapshot, wire.TSnapshotAck))/k),
+					f1(perCycle), fmt.Sprint(n*(n-1)), fmt.Sprint(gdiff.GossipFullBytes/gdiff.GossipFull),
+				)
+			})
 		}
 	}
-	t.AddNote("write/snapshot ≈ 2n messages of Θ(n·ν) bytes each direction (O(n) msgs, O(nν) bits); gossip ≈ n(n-1) msgs per cycle of Θ(ν) bytes (the paper's O(n²) gossip of O(ν) bits)")
+	t.AddNote("write/snapshot = 2n messages of Θ(n·ν) bytes each direction (O(n) msgs, O(nν) bits); gossip = n(n-1) msgs per cycle of Θ(ν) bytes (the paper's O(n²) gossip of O(ν) bits)")
+	t.AddNote("gossip columns: delta gossip's per-peer decisions (full + delta + suppressed) per cycle, and its full-send size")
 	return []*Table{t}
 }
 

@@ -55,8 +55,7 @@ type Inner interface {
 	RestartDetectable()
 	AdoptSNS(int64)
 	Corrupt(*rand.Rand)
-	CorruptAckTable(*rand.Rand) bool
-	AckStats() kernel.AckStats
+	CorruptAckTable(*rand.Rand)
 	LocalInvariantHolds() bool
 	StateSummary() kernel.View
 }
@@ -73,9 +72,6 @@ type Config struct {
 	// paper's criteria explicitly permit aborting a bounded number of
 	// operations during the seldom global reset.
 	AbortDuringReset bool
-	// FullGossip disables the inner algorithm's delta gossip (see
-	// nonblocking.Config.FullGossip).
-	FullGossip bool
 	// Runtime tuning forwarded to the inner node.
 	Runtime node.Options
 }
@@ -128,7 +124,6 @@ func New(id int, tr netsim.Transport, cfg Config) *Node {
 	b := newShell(id, tr, cfg)
 	b.Inner = nonblocking.New(id, b.ft, nonblocking.Config{
 		SelfStabilizing: true,
-		FullGossip:      cfg.FullGossip,
 		Runtime:         cfg.Runtime,
 	})
 	return b
@@ -140,9 +135,8 @@ func New(id int, tr netsim.Transport, cfg Config) *Node {
 func NewDelta(id int, tr netsim.Transport, delta int64, cfg Config) *Node {
 	b := newShell(id, tr, cfg)
 	b.Inner = deltasnap.New(id, b.ft, deltasnap.Config{
-		Delta:      delta,
-		FullGossip: cfg.FullGossip,
-		Runtime:    cfg.Runtime,
+		Delta:   delta,
+		Runtime: cfg.Runtime,
 	})
 	return b
 }

@@ -10,15 +10,9 @@ import (
 	"selfstabsnap/internal/types"
 )
 
-// totalSuppressed sums the gossip-suppression tallies across the cluster —
-// the observable signature of delta mode being active.
-func totalSuppressed(c *core.Cluster) int64 {
-	var n int64
-	for i := 0; i < c.N(); i++ {
-		n += c.AckStats(i).Suppressed
-	}
-	return n
-}
+// totalSuppressed is the cluster's count of suppressed gossip sends — the
+// observable signature of delta mode being active.
+func totalSuppressed(c *core.Cluster) int64 { return c.Counters().GossipSuppressed() }
 
 // TestAckCorruptionConvergesBackToDelta is the nemesis acceptance test for
 // the per-peer ack table: trash every node's table mid-run and prove that

@@ -159,12 +159,13 @@ func TestVirtualRunDeterministicMultiObject(t *testing.T) {
 // a small fraction of wall time — the property the campaign driver relies
 // on. The bound is loose (CI machines vary) but still far under 300ms.
 // Skipped under -race: instrumentation slows the run several-fold, and the
-// determinism tests above already exercise the same path there.
+// determinism tests above already exercise the same path there. It runs
+// serially: the package's parallel tests wait until it has finished, so
+// they cannot share its cores while the clock runs.
 func TestVirtualRunFast(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock bound is meaningless under race instrumentation")
 	}
-	t.Parallel()
 	start := time.Now()
 	if _, err := Run(detConfig(31)); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"selfstabsnap/internal/node"
 	"selfstabsnap/internal/simclock"
 	"selfstabsnap/internal/types"
-	"selfstabsnap/internal/wire"
 )
 
 // The event-driven do-forever loop (DESIGN.md divergence #15), checked on
@@ -82,17 +81,16 @@ func TestVirtualSoloOperationWaitsForNoTick(t *testing.T) {
 // loadedRun drives closed-loop clients at every node (4 writes per
 // snapshot, back to back) for span of virtual time over 50 µs links, or
 // idles for the same span, and reports per-node full iterations, on-demand
-// iterations and the cluster's GOSSIP sends.
+// iterations and the cluster's per-peer gossip decisions (full, delta or
+// suppressed: n−1 per node per full iteration, whatever the registers hold,
+// so decisions count iterations).
 func loadedRun(t *testing.T, alg core.Algorithm, li, span time.Duration, load bool) (cycles, onDemand []int64, gossip int64) {
 	t.Helper()
 	v := simclock.NewVirtual()
 	v.Run(t.Name(), func() {
 		c := eventLoopCluster(t, v, core.Config{
 			Algorithm: alg, LoopInterval: li, RetxInterval: 5 * li,
-			// Full gossip: n−1 GOSSIP sends per node per full iteration,
-			// whatever the registers hold, so sends count iterations.
-			FullGossip: true,
-			Adversary:  netsim.Adversary{MinDelay: 50 * time.Microsecond, MaxDelay: 50 * time.Microsecond},
+			Adversary: netsim.Adversary{MinDelay: 50 * time.Microsecond, MaxDelay: 50 * time.Microsecond},
 		})
 		defer c.Close()
 
@@ -119,7 +117,7 @@ func loadedRun(t *testing.T, alg core.Algorithm, li, span time.Duration, load bo
 		}
 		v.Sleep(span)
 		cycles = c.LoopCounts()
-		gossip = c.Counters().Messages(wire.TGossip)
+		gossip = c.Counters().Snapshot().GossipDecisions()
 		for i := 0; i < c.N(); i++ {
 			onDemand = append(onDemand, runtimeOf(c, i).OnDemandIterations())
 		}
@@ -160,7 +158,7 @@ func TestVirtualKickedLoopKeepsItsCadence(t *testing.T) {
 			}
 			perTick := int64(len(cycles) * (len(cycles) - 1)) // one tick at every node
 			if d := gossip - idleGossip; d < -perTick || d > perTick {
-				t.Errorf("GOSSIP sends in %v: %d under load, %d idle — differ by more than one tick (%d)", span, gossip, idleGossip, perTick)
+				t.Errorf("gossip decisions in %v: %d under load, %d idle — differ by more than one tick (%d)", span, gossip, idleGossip, perTick)
 			}
 		})
 	}

@@ -144,12 +144,6 @@ type Config struct {
 	// Delta is Algorithm 3's δ parameter, fixed for the node's lifetime
 	// (ignored by other algorithms).
 	Delta int64
-	// FullGossip disables delta gossip on the self-stabilizing algorithms:
-	// every tick sends the full per-peer gossip payload as in the paper's
-	// listing, regardless of what the peer acknowledged. The zero value
-	// (delta gossip on) suppresses sends the peer's fresh GOSSIPack
-	// already dominates.
-	FullGossip bool
 	// Seed drives all adversarial and corruption randomness (default 1).
 	Seed int64
 	// Adversary configures packet loss/duplication/delay.
@@ -339,16 +333,16 @@ func NewNode(id int, tr netsim.Transport, cfg Config) (*Node, error) {
 // newInstance builds node i's instance of cfg.Algorithm, which normalize
 // has checked, without starting it.
 func newInstance(cfg Config, i int, tr netsim.Transport, ropt node.Options) instance {
-	bcfg := bounded.Config{MaxInt: cfg.MaxInt, AbortDuringReset: cfg.AbortDuringReset, FullGossip: cfg.FullGossip, Runtime: ropt}
+	bcfg := bounded.Config{MaxInt: cfg.MaxInt, AbortDuringReset: cfg.AbortDuringReset, Runtime: ropt}
 	switch cfg.Algorithm {
 	case NonBlockingDG:
 		return nonblocking.New(i, tr, nonblocking.Config{Runtime: ropt})
 	case NonBlockingSS:
-		return nonblocking.New(i, tr, nonblocking.Config{SelfStabilizing: true, FullGossip: cfg.FullGossip, Runtime: ropt})
+		return nonblocking.New(i, tr, nonblocking.Config{SelfStabilizing: true, Runtime: ropt})
 	case AlwaysTerminatingDG:
 		return alwaysterm.New(i, tr, alwaysterm.Config{Runtime: ropt})
 	case DeltaSS:
-		return deltasnap.New(i, tr, deltasnap.Config{Delta: cfg.Delta, FullGossip: cfg.FullGossip, Runtime: ropt})
+		return deltasnap.New(i, tr, deltasnap.Config{Delta: cfg.Delta, Runtime: ropt})
 	case StackedABD:
 		return stacked.New(i, tr, stacked.Config{Runtime: ropt})
 	case BoundedSS:
@@ -411,29 +405,13 @@ func (c *Cluster) CorruptAckTable(id int) error {
 		return ErrUnknownNode
 	}
 	for o := range c.members[id].objs {
-		if s := c.stabilizing(id, o); s == nil || !s.CorruptAckTable(c.rng) {
-			return fmt.Errorf("%w: %s has no delta-gossip ack table", ErrNotCorruptible, c.cfg.Algorithm)
+		s := c.stabilizing(id, o)
+		if s == nil {
+			return fmt.Errorf("%w: %s", ErrNotCorruptible, c.cfg.Algorithm)
 		}
+		s.CorruptAckTable(c.rng)
 	}
 	return nil
-}
-
-// AckStats returns node id's gossip-mode tallies summed across its hosted
-// objects (zero when the algorithm runs without delta gossip).
-func (c *Cluster) AckStats(id int) kernel.AckStats {
-	if id < 0 || id >= c.cfg.N {
-		return kernel.AckStats{}
-	}
-	var sum kernel.AckStats
-	for o := range c.members[id].objs {
-		if st := c.stabilizing(id, o); st != nil {
-			s := st.AckStats()
-			sum.Full += s.Full
-			sum.Delta += s.Delta
-			sum.Suppressed += s.Suppressed
-		}
-	}
-	return sum
 }
 
 // N returns the cluster size.

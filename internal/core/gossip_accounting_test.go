@@ -77,48 +77,3 @@ func TestGossipByteAccountingReconciles(t *testing.T) {
 		})
 	}
 }
-
-// TestGossipAccountingFullGossipMode: with delta gossip disabled the
-// algorithm-side classification is never recorded, and the transport still
-// meters every full-vector send — the counters stay strictly zero so a
-// dashboard can tell the modes apart.
-func TestGossipAccountingFullGossipMode(t *testing.T) {
-	v := simclock.NewVirtual()
-	v.Run("gossip-accounting-full", func() {
-		cluster, err := NewCluster(Config{
-			N: 4, Algorithm: NonBlockingSS, Seed: 12, FullGossip: true,
-			LoopInterval: time.Millisecond,
-			RetxInterval: 3 * time.Millisecond,
-			Clock:        v,
-		})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		closed := false
-		defer func() {
-			if !closed {
-				cluster.Close()
-			}
-		}()
-		if err := cluster.Write(0, types.Value("full")); err != nil {
-			t.Error(err)
-			return
-		}
-		v.Sleep(20 * time.Millisecond)
-		closed = true
-		cluster.Close()
-
-		c := cluster.Counters()
-		snap := c.Snapshot()
-		if snap.GossipFull != 0 || snap.GossipDelta != 0 || snap.GossipSuppressed != 0 {
-			t.Errorf("full-gossip mode recorded delta-gossip counters: %+v", snap)
-		}
-		if c.Bytes(wire.TGossip) == 0 {
-			t.Error("no gossip traffic at all in full-gossip mode")
-		}
-		if c.Bytes(wire.TGossipAck) != 0 {
-			t.Error("full-gossip mode sent GOSSIPacks")
-		}
-	})
-}

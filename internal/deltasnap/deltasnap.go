@@ -44,11 +44,6 @@ type Config struct {
 	// task (temporarily blocking writes). 0 recruits everyone immediately;
 	// a negative value counts as 0. Fixed for the node's lifetime.
 	Delta int64
-	// FullGossip disables delta gossip: every tick sends the full per-peer
-	// gossip payload regardless of what the peer acknowledged, as in the
-	// paper's listing. The zero value (delta gossip on) trims or elides
-	// sends the peer's fresh GOSSIPack already dominates.
-	FullGossip bool
 	// Runtime tuning forwarded to the node runtime.
 	Runtime node.Options
 }
@@ -76,7 +71,7 @@ type Node struct {
 func New(id int, tr netsim.Transport, cfg Config) *Node {
 	nd := &Node{id: id, k: kernel.New(id, tr.N(), true), delta: max(cfg.Delta, 0)}
 	nd.rt = node.Bind(id, tr, nd, cfg.Runtime)
-	nd.g = kernel.NewGossip(nd.rt, cfg.FullGossip)
+	nd.g = kernel.NewGossip(nd.rt)
 	nd.Shell = kernel.NewShell(nd.rt, nd.g, &nd.mu, &nd.k, false)
 	return nd
 }

@@ -20,42 +20,61 @@ func clone(s State) State {
 	return c
 }
 
+// fuzzBytes hands out fuzz input one byte at a time. Missing bytes read
+// as zero.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	return c
+}
+
+// idx reads an arbitrary small signed index.
+func (b *fuzzBytes) idx() int64 { return int64(int8(b.next())) }
+
 // decodeState builds an arbitrary State from fuzz bytes: cluster size 1–5,
 // any owner id, with or without a task table, and every index an arbitrary
-// small signed value. Vector clocks may be ⊥ or of the wrong length, and
-// results ⊥ or present. Missing bytes read as zero.
+// small signed value (see fill).
 func decodeState(data []byte) State {
-	next := func() byte {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[0]
-		data = data[1:]
-		return b
-	}
-	idx := func() int64 { return int64(int8(next())) }
-	n := 1 + int(next()%5)
-	s := New(int(next())%n, n, next()&1 == 1)
-	s.TS, s.SSN, s.SNS = idx(), idx(), idx()
+	b := fuzzBytes(data)
+	return b.state()
+}
+
+func (b *fuzzBytes) state() State {
+	n := 1 + int(b.next()%5)
+	s := New(int(b.next())%n, n, b.next()&1 == 1)
+	b.fill(&s)
+	return s
+}
+
+// fill overwrites every variable of s with arbitrary values: indices are
+// small signed values, vector clocks may be ⊥ or of the wrong length, and
+// results ⊥ or present.
+func (b *fuzzBytes) fill(s *State) {
+	n := len(s.Reg)
+	s.TS, s.SSN, s.SNS = b.idx(), b.idx(), b.idx()
 	for k := range s.Reg {
-		s.Reg[k].TS = idx()
-		if b := next(); b&1 == 1 {
-			s.Reg[k].Val = types.Value{b}
+		s.Reg[k].TS = b.idx()
+		if c := b.next(); c&1 == 1 {
+			s.Reg[k].Val = types.Value{c}
 		}
 	}
 	for k := range s.Pnd {
-		s.Pnd[k].SNS = idx()
-		if b := next(); b%3 != 0 {
-			s.Pnd[k].VC = make(types.VectorClock, n+int(b%3)-1)
+		s.Pnd[k].SNS = b.idx()
+		if c := b.next(); c%3 != 0 {
+			s.Pnd[k].VC = make(types.VectorClock, n+int(c%3)-1)
 			for i := range s.Pnd[k].VC {
-				s.Pnd[k].VC[i] = idx()
+				s.Pnd[k].VC[i] = b.idx()
 			}
 		}
-		if next()&1 == 1 {
+		if b.next()&1 == 1 {
 			s.Pnd[k].Fnl = types.NewRegVector(n)
 		}
 	}
-	return s
 }
 
 // FuzzClean checks the loop's local cleaning (lines 10 and 75–77) over

@@ -2,67 +2,45 @@ package kernel
 
 import (
 	"math/rand"
-	"sync/atomic"
 
 	"selfstabsnap/internal/node"
 	"selfstabsnap/internal/wire"
 )
 
-// Gossip is the gossip layer of both algorithms (line 11/78). Delta gossip
-// keeps a per-peer ack table and suppresses or trims a send the peer's
-// fresh GOSSIPack already covers; a missing or stale ack falls back to the
-// paper's full send. Full gossip has no table and sends no GOSSIPack.
+// Gossip is the gossip layer of both algorithms (line 11/78). It keeps a
+// per-peer ack table and suppresses or trims a send the peer's fresh
+// GOSSIPack already covers; a missing or stale ack falls back to the
+// paper's full send (Outbox.Full), so every peer keeps receiving the gossip
+// that restores its state.
 type Gossip struct {
 	rt   *node.ObjView
-	acks *node.AckTable // nil: full gossip
-
-	// Per-peer send decisions; metrics.Counters holds the cluster total.
-	full, delta, suppressed atomic.Int64
+	acks *node.AckTable
 }
 
-// AckStats is a point-in-time copy of one node's gossip-decision tallies.
-type AckStats struct {
-	Full       int64
-	Delta      int64
-	Suppressed int64
-}
-
-// NewGossip returns the gossip layer of the object behind rt. full selects
-// the paper's full per-peer gossip; it is the only place the choice is
-// made.
-func NewGossip(rt *node.ObjView, full bool) *Gossip {
-	g := &Gossip{rt: rt}
-	if !full {
-		g.acks = node.NewAckTable(rt.N(), node.DefaultAckStaleness)
-	}
-	return g
+// NewGossip returns the gossip layer of the object behind rt.
+func NewGossip(rt *node.ObjView) *Gossip {
+	return &Gossip{rt: rt, acks: node.NewAckTable(rt.N(), node.DefaultAckStaleness)}
 }
 
 // Send gossips one iteration's payloads to every peer, tallying each
-// per-peer decision (full, delta or suppressed) here and in the
-// transport's counters.
+// per-peer decision (full, delta or suppressed) in the transport's
+// counters. The decisions are the paper's n−1 GOSSIP sends of the
+// iteration, whichever way each one went.
 func (g *Gossip) Send(out Outbox) {
-	if g.acks == nil {
-		g.rt.GossipTo(out.Full)
-		return
-	}
 	g.acks.Advance()
 	counters := g.rt.Counters()
 	g.rt.GossipTo(func(k int) *wire.Message {
 		st, fresh := g.acks.Fresh(k)
 		if !fresh {
 			m := out.Full(k)
-			g.full.Add(1)
 			counters.RecordGossipFull(m.Size())
 			return m
 		}
 		m := out.Delta(k, st)
 		if m == nil {
-			g.suppressed.Add(1)
 			counters.RecordGossipSuppressed()
 			return nil
 		}
-		g.delta.Add(1)
 		counters.RecordGossipDelta(m.Size())
 		return m
 	})
@@ -86,9 +64,6 @@ func (g *Gossip) Repaired(r Repairs) {
 // Echo answers a GOSSIP from peer `to` with st, the post-merge own indices,
 // so the sender can skip re-gossiping what this node already holds.
 func (g *Gossip) Echo(to int, st node.AckState) {
-	if g.acks == nil {
-		return
-	}
 	ack := &wire.Message{Type: wire.TGossipAck, TS: st.TS, SNS: st.SNS}
 	if st.Done {
 		ack.TaskSN = 1
@@ -98,33 +73,16 @@ func (g *Gossip) Echo(to int, st node.AckState) {
 
 // Record stores an arriving GOSSIPack.
 func (g *Gossip) Record(m *wire.Message) {
-	if g.acks != nil {
-		g.acks.Record(int(m.From), node.AckState{TS: m.TS, SNS: m.SNS, Done: m.TaskSN != 0})
-	}
+	g.acks.Record(int(m.From), node.AckState{TS: m.TS, SNS: m.SNS, Done: m.TaskSN != 0})
 }
 
 // Reset invalidates the ack table after a transient fault, restart or
 // global reset: the next iteration gossips in full.
-func (g *Gossip) Reset() {
-	if g.acks != nil {
-		g.acks.Reset()
-	}
-}
-
-// Stats returns the per-peer gossip-decision tallies (zero under full
-// gossip).
-func (g *Gossip) Stats() AckStats {
-	return AckStats{Full: g.full.Load(), Delta: g.delta.Load(), Suppressed: g.suppressed.Load()}
-}
+func (g *Gossip) Reset() { g.acks.Reset() }
 
 // Corrupt fills the ack table with arbitrary values, the chaos nemesis for
-// its stabilization obligation. It reports false, and draws nothing, under
-// full gossip, which has no table.
-func (g *Gossip) Corrupt(rng *rand.Rand) bool {
-	if g.acks == nil {
-		return false
-	}
+// its stabilization obligation.
+func (g *Gossip) Corrupt(rng *rand.Rand) {
 	g.rt.RecordEvent("ack-corrupt", "delta-gossip ack table overwritten")
 	g.acks.Corrupt(rng)
-	return true
 }

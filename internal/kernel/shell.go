@@ -252,9 +252,5 @@ func (s *Shell) RestartDetectable() {
 	})
 }
 
-// AckStats returns this node's gossip-decision tallies.
-func (s *Shell) AckStats() AckStats { return s.g.Stats() }
-
 // CorruptAckTable fills the delta-gossip ack table with arbitrary values.
-// It reports false when the node gossips in full and has no table.
-func (s *Shell) CorruptAckTable(rng *rand.Rand) bool { return s.g.Corrupt(rng) }
+func (s *Shell) CorruptAckTable(rng *rand.Rand) { s.g.Corrupt(rng) }

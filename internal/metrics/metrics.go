@@ -288,6 +288,11 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 	return d
 }
 
+// GossipDecisions is the number of per-peer gossip decisions (full, delta
+// or suppressed): one per peer per full iteration, the paper's GOSSIP
+// messages of Algorithm 1 line 11 and Algorithm 3 line 78.
+func (s Snapshot) GossipDecisions() int64 { return s.GossipFull + s.GossipDelta + s.GossipSuppressed }
+
 // MessagesOf sums the message counts of the given types.
 func (s Snapshot) MessagesOf(tt ...wire.Type) int64 {
 	var n int64

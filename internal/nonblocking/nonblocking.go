@@ -35,11 +35,6 @@ type Config struct {
 	// SelfStabilizing enables the paper's boxed additions (gossip and index
 	// hygiene). False yields the Delporte-Gallet et al. baseline.
 	SelfStabilizing bool
-	// FullGossip disables delta gossip: every tick sends the full per-peer
-	// entry regardless of what the peer acknowledged, as in the paper's
-	// listing. The zero value (delta gossip on) suppresses sends the
-	// peer's fresh GOSSIPack already dominates.
-	FullGossip bool
 	// Runtime tuning forwarded to the node runtime.
 	Runtime node.Options
 }
@@ -65,7 +60,7 @@ type Node struct {
 func New(id int, tr netsim.Transport, cfg Config) *Node {
 	nd := &Node{k: kernel.New(id, tr.N(), false)}
 	nd.rt = node.Bind(id, tr, nd, cfg.Runtime)
-	nd.g = kernel.NewGossip(nd.rt, cfg.FullGossip || !cfg.SelfStabilizing)
+	nd.g = kernel.NewGossip(nd.rt)
 	nd.Shell = kernel.NewShell(nd.rt, nd.g, &nd.mu, &nd.k, !cfg.SelfStabilizing)
 	return nd
 }

@@ -15,6 +15,8 @@
 package rbcast
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"selfstabsnap/internal/wire"
@@ -138,10 +140,13 @@ func (r *RB) Handle(m *wire.Message) bool {
 }
 
 // Tick retransmits every pending broadcast to the peers that have not yet
-// acknowledged it. Call it from the node's do-forever loop.
+// acknowledged it, in (origin, tag) order, so that a virtual-clock run does
+// not depend on map iteration order. Call it from the node's do-forever
+// loop.
 func (r *RB) Tick() {
 	r.mu.Lock()
 	type retx struct {
+		k    key
 		env  *wire.Message
 		skip map[int32]struct{}
 	}
@@ -156,9 +161,12 @@ func (r *RB) Tick() {
 		for a := range p.acked {
 			skip[a] = struct{}{}
 		}
-		work = append(work, retx{env: p.env, skip: skip})
+		work = append(work, retx{k: k, env: p.env, skip: skip})
 	}
 	r.mu.Unlock()
+	slices.SortFunc(work, func(a, b retx) int {
+		return cmp.Or(cmp.Compare(a.k.origin, b.k.origin), cmp.Compare(a.k.tag, b.k.tag))
+	})
 	for _, w := range work {
 		r.transmit(w.env, w.skip)
 	}
