@@ -1,10 +1,12 @@
 package kernel
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"selfstabsnap/internal/node"
+	"selfstabsnap/internal/types"
 )
 
 // FuzzDeltaGossip checks delta gossip against its reference, the paper's
@@ -14,11 +16,10 @@ import (
 // Adopting Delta(k, st), or nothing when that is nil, must then leave p_k
 // exactly as adopting Full(k) does.
 //
-// Two facts of legal executions hold for p_k's own entry as well. Node k is
-// reg[k]'s only writer, so an index names one value: where the entry has
-// the sender's index, it has the sender's value. And an index counts
-// writes, so it is ≥ 0: a delta without an entry carries ⊥ at index 0,
-// which an entry below 0 would adopt.
+// One fact of legal executions holds for p_k's own entry as well. Node k
+// is reg[k]'s only writer, so an index names one value: where the entry
+// has the sender's index, it has the sender's value. Its index itself is
+// arbitrary, negative included.
 func FuzzDeltaGossip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := fuzzBytes(data)
@@ -28,7 +29,6 @@ func FuzzDeltaGossip(f *testing.F) {
 		rcv := New(k, n, snd.Pnd != nil)
 		b.fill(&rcv)
 		own := &rcv.Reg[k]
-		own.TS = max(own.TS, 0)
 		if e := snd.Reg[k]; own.TS == e.TS {
 			own.Val = e.Val
 		}
@@ -52,4 +52,25 @@ func FuzzDeltaGossip(f *testing.F) {
 			t.Fatalf("p%d acked %+v; sender %+v sent delta %+v:\nafter full  %+v\nafter delta %+v", k, st, snd, m, full, delta)
 		}
 	})
+}
+
+// TestTrimmedDeltaKeepsOwnEntry: a delta trimmed of reg[k] leaves p_k's own
+// entry alone at every boundary index, whatever the ack it answers claims.
+func TestTrimmedDeltaKeepsOwnEntry(t *testing.T) {
+	snd := New(0, 2, true)
+	snd.Pnd[1].SNS = 5
+	for _, ts := range []int64{math.MinInt64, -13, -1, 0, 1, math.MaxInt64} {
+		for _, val := range []types.Value{nil, types.Value("v")} {
+			rcv := New(1, 2, true)
+			rcv.Reg[1] = types.TSValue{TS: ts, Val: val}
+			m := snd.Outbox().Delta(1, node.AckState{TS: math.MaxInt64})
+			if m == nil {
+				t.Fatal("an sns the ack does not cover must be sent")
+			}
+			rcv.AdoptGossip(m)
+			if got := rcv.Reg[1]; !got.Equal(types.TSValue{TS: ts, Val: val}) {
+				t.Errorf("own entry (%q,%d) became %v", val, ts, got)
+			}
+		}
+	}
 }

@@ -10,6 +10,7 @@
 package kernel
 
 import (
+	"math"
 	"slices"
 
 	"selfstabsnap/internal/node"
@@ -308,6 +309,12 @@ func (o Outbox) Full(k int) *wire.Message {
 	return m
 }
 
+// absentEntry is the Entry of a delta trimmed of reg[k]: the least TSValue,
+// which the merge max{reg[k], m.Entry} of line 98 never adopts, whatever
+// index p_k's own entry holds and whatever its ack reported. It has the
+// wire size of ⊥, so trimming changes no message's encoded size.
+var absentEntry = types.TSValue{TS: math.MinInt64}
+
 // Delta is the GOSSIP to a p_k whose fresh GOSSIPack reported st: nil when
 // st covers everything Full(k) carries, else Full(k) trimmed to what it
 // does not. Receivers read only Entry, SNS and Saves (Tasks mirror SNS).
@@ -324,7 +331,7 @@ func (o Outbox) Delta(k int, st node.AckState) *wire.Message {
 	if e.TS <= st.TS && t.SNS <= st.SNS && !result {
 		return nil
 	}
-	m := &wire.Message{Type: wire.TGossip, SNS: t.SNS}
+	m := &wire.Message{Type: wire.TGossip, SNS: t.SNS, Entry: absentEntry}
 	if e.TS > st.TS {
 		m.Entry = e
 	}
