@@ -1,14 +1,11 @@
-// Package selfstabsnap_test holds the top-level benchmark harness: one
-// benchmark family per reproduced table/figure (E1–E10, see DESIGN.md and
-// EXPERIMENTS.md) plus per-operation microbenchmarks for every algorithm.
+// Package selfstabsnap_test holds the top-level benchmark harness:
+// per-operation microbenchmarks for every algorithm. The paper's
+// experiments E1–E10 are not benchmarks: internal/bench runs them on a
+// virtual clock and TestClaims pins every cell.
 //
 // Run everything with:
 //
 //	go test -bench=. -benchmem
-//
-// The experiment benchmarks print their regenerated tables once (via
-// b.Log, visible with -v); cmd/benchrunner prints the same tables with
-// wider sweeps.
 package selfstabsnap_test
 
 import (
@@ -17,39 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"selfstabsnap/internal/bench"
 	"selfstabsnap/internal/core"
 	"selfstabsnap/internal/wire"
 )
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := bench.Lookup(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	for i := 0; i < b.N; i++ {
-		tables := e.Run(bench.Params{Quick: true})
-		if i == 0 {
-			for _, t := range tables {
-				b.Logf("\n%s", t)
-			}
-		}
-	}
-}
-
-// One benchmark per reproduced figure/table.
-
-func BenchmarkE1_Figure1_Executions(b *testing.B)         { runExperiment(b, "E1") }
-func BenchmarkE2_Alg1_MessageComplexity(b *testing.B)     { runExperiment(b, "E2") }
-func BenchmarkE3_StackedVsDirect_8nVs2n(b *testing.B)     { runExperiment(b, "E3") }
-func BenchmarkE4_Figure2_Alg2_Quadratic(b *testing.B)     { runExperiment(b, "E4") }
-func BenchmarkE5_Figure3_Alg3_Savings(b *testing.B)       { runExperiment(b, "E5") }
-func BenchmarkE6_DeltaTradeoff(b *testing.B)              { runExperiment(b, "E6") }
-func BenchmarkE7_RecoveryCycles(b *testing.B)             { runExperiment(b, "E7") }
-func BenchmarkE8_LivenessUnderStorm(b *testing.B)         { runExperiment(b, "E8") }
-func BenchmarkE9_BoundedCountersReset(b *testing.B)       { runExperiment(b, "E9") }
-func BenchmarkE10_CrashesAndLinearizability(b *testing.B) { runExperiment(b, "E10") }
 
 // ---- per-operation microbenchmarks ----
 

@@ -11,8 +11,8 @@ import (
 // Hot-path benchmarks: end-to-end write and snapshot cost of the
 // self-stabilizing Algorithm 1 across cluster size n and payload size ν,
 // reported with allocs/op and B/op (run with -benchmem). These are the
-// benchmarks the allocation-regression guard (allocguard_test.go) and the
-// `benchrunner -exp hotpath` experiment are built on: they measure the
+// benchmarks the allocation-regression guard (allocguard_test.go) is
+// built on: they measure the
 // memory traffic of the whole operation pipeline — client install, quorum
 // broadcast, server merge + reply, ack collection, final merge — not just
 // one layer, so a deep copy reintroduced anywhere on the path shows up.

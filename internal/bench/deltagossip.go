@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"selfstabsnap/internal/core"
 	"selfstabsnap/internal/simclock"
@@ -25,19 +24,10 @@ const (
 // sends: each per-peer decision (full, delta or suppressed) is one of its
 // n(n−1) GOSSIP messages per tick, and each of those is the size of a full
 // send. The virtual clock makes both an exact deterministic function of
-// (n, ν): the regression guard compares them across builds, not across
-// machines.
+// (n, ν), which TestClaims pins exactly.
 func dgBytesPerTick(n, payload int) (full, delta float64) {
-	v := simclock.NewVirtual()
-	v.Run("deltagossip", func() {
-		cfg := core.Config{
-			N:            n,
-			Algorithm:    core.NonBlockingSS,
-			Seed:         9000 + int64(n) + int64(payload),
-			LoopInterval: time.Millisecond,
-			RetxInterval: 3 * time.Millisecond,
-			Clock:        v,
-		}
+	simulate("deltagossip", func(v *simclock.Virtual) {
+		cfg := fastCfg(v, core.NonBlockingSS, n, 9000+int64(n)+int64(payload))
 		c := mustCluster(cfg)
 		defer c.Close()
 		for i := 0; i < n; i++ {
@@ -67,20 +57,15 @@ func sumLoops(c *core.Cluster) int64 {
 // tracking suppresses the (overwhelmingly redundant) idle gossip traffic,
 // so steady-state bytes/tick drop by roughly the ack-staleness factor
 // while the periodic full-vector refresh keeps the protocol
-// self-stabilizing. The table sweeps cluster size and value size; the
-// committed BENCH_deltagossip.json is the CI baseline the bandwidth
-// regression guard compares against.
-func RunDeltaGossip(p Params) []*Table {
+// self-stabilizing. The table sweeps cluster size and value size.
+func RunDeltaGossip() []*Table {
 	t := &Table{
 		ID:      "deltagossip",
 		Title:   "idle gossip bandwidth: full-vector vs delta (per-peer ack tracking)",
+		Keys:    2,
 		Headers: []string{"n", "value B", "full B/tick", "delta B/tick", "reduction"},
 	}
-	sizes := []int{16, 64}
-	if p.Quick {
-		sizes = []int{16}
-	}
-	for _, n := range sizes {
+	for _, n := range []int{16, 64} {
 		for _, payload := range []int{256, 4096} {
 			full, delta := dgBytesPerTick(n, payload)
 			t.AddRow(fmt.Sprint(n), fmt.Sprint(payload), f1(full), f1(delta), f1(full/delta)+"x")

@@ -80,8 +80,7 @@ type dispatchPoint struct {
 // node 0 concurrently (as lock-step scheduler tasks), the receiver's shard
 // pool drains the backlog, and the cell reports saturated throughput and
 // the p99.9 sojourn time. Virtual time makes every number an exact
-// deterministic function of the configuration, so the regression guard can
-// compare cells across builds with a tight tolerance.
+// deterministic function of the configuration.
 func runDispatch(senders, msgs, shards int) dispatchPoint {
 	var out dispatchPoint
 	v := simclock.NewVirtual()
@@ -147,22 +146,16 @@ func runDispatch(senders, msgs, shards int) dispatchPoint {
 // topology), saturated throughput is 1/dispatchService; a pool of k shard
 // workers overlaps k handlers, so throughput scales ≈k× until the shard
 // keyspace (8 senders) is exhausted, and the p99.9 sojourn time collapses
-// with the backlog. The committed BENCH_dispatch.json is the CI baseline
-// TestDispatchRegressionGuard compares against.
-func RunDispatch(p Params) []*Table {
+// with the backlog.
+func RunDispatch() []*Table {
 	t := &Table{
 		ID:      "dispatch",
 		Title:   "sharded dispatch: mixed-workload throughput and tail latency vs shard count",
 		Headers: []string{"shards", "senders", "msgs/sender", "makespan", "msg/s", "p99.9", "speedup"},
 	}
-	msgs := 300
-	grid := []int{1, 2, 4, 8}
-	if p.Quick {
-		msgs = 100
-		grid = []int{1, 4}
-	}
+	const msgs = 300
 	var base float64
-	for _, shards := range grid {
+	for _, shards := range []int{1, 2, 4, 8} {
 		r := runDispatch(dispatchSenders, msgs, shards)
 		if base == 0 {
 			base = r.msgPerS

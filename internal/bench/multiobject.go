@@ -270,23 +270,16 @@ func runMultiObjectIsolation(objects, coldMsgs, hotMsgs, shards int) (p99 time.D
 // sweeps shard counts at a fixed 64-object mix (aggregate throughput must
 // scale with the pool, as for single-object dispatch), and one contrasts
 // cold-object p99 with and without a saturated hot neighbour (the
-// per-object fair lanes must keep the degradation small). The committed
-// BENCH_multiobject.json is the baseline TestMultiObjectRegressionGuard
-// compares against.
-func RunMultiObject(p Params) []*Table {
+// per-object fair lanes must keep the degradation small).
+func RunMultiObject() []*Table {
 	scaling := &Table{
 		ID:      "multiobject-scaling",
 		Title:   "multi-object hosting: aggregate throughput vs shard count at a 64-object mix",
 		Headers: []string{"shards", "objects", "senders", "msgs/sender", "makespan", "msg/s", "p99.9", "speedup"},
 	}
-	objects, msgs := 64, 300
-	grid := []int{1, 2, 4, 8}
-	if p.Quick {
-		objects, msgs = 16, 100
-		grid = []int{1, 4}
-	}
+	const objects, msgs = 64, 300
 	var base float64
-	for _, shards := range grid {
+	for _, shards := range []int{1, 2, 4, 8} {
 		r := runMultiObject(moSenders, objects, msgs, shards)
 		if base == 0 {
 			base = r.msgPerS
@@ -302,10 +295,7 @@ func RunMultiObject(p Params) []*Table {
 		Title:   "hot-object isolation: cold-object p99 with and without a saturated neighbour",
 		Headers: []string{"scenario", "objects", "shards", "cold ops", "cold p99", "degradation"},
 	}
-	isoObjects, coldMsgs, hotMsgs := 16, 100, 800
-	if p.Quick {
-		isoObjects, coldMsgs, hotMsgs = 8, 60, 400
-	}
+	const isoObjects, coldMsgs, hotMsgs = 16, 100, 800
 	quietP99, quietOps := runMultiObjectIsolation(isoObjects, coldMsgs, 0, 4)
 	hotP99, hotOps := runMultiObjectIsolation(isoObjects, coldMsgs, hotMsgs, 4)
 	degr := float64(hotP99) / float64(quietP99)

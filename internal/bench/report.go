@@ -5,16 +5,14 @@ import (
 	"fmt"
 )
 
-// Report is the machine-readable result of one experiment run — what
-// `benchrunner -json` writes to BENCH_<ID>.json. It carries the same
-// tables the human-readable output renders, so downstream tooling (plot
-// scripts, regression dashboards) can consume experiment results without
+// Report is the machine-readable result of one experiment run, pinned at
+// the repository root as BENCH_<ID>.json. It carries the same tables the
+// human-readable output renders, so tooling (plot scripts, the exact
+// comparator of TestClaims) can consume experiment results without
 // scraping aligned-column text.
 type Report struct {
 	Experiment string   `json:"experiment"`
 	Title      string   `json:"title"`
-	Quick      bool     `json:"quick"`
-	ElapsedMS  int64    `json:"elapsed_ms"`
 	Tables     []*Table `json:"tables"`
 }
 

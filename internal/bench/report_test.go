@@ -1,25 +1,22 @@
 package bench
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 )
 
-// TestReportRoundTrip: the -json output must survive a parse round-trip
-// unchanged, so downstream consumers and the regeneration tooling agree on
-// the schema.
+// TestReportRoundTrip: a report must survive a parse round-trip unchanged,
+// so the pinned files and the comparator agree on the schema.
 func TestReportRoundTrip(t *testing.T) {
 	r := &Report{
 		Experiment: "E2",
 		Title:      "per-operation complexity",
-		Quick:      true,
-		ElapsedMS:  1234,
 		Tables: []*Table{{
 			ID:      "E2",
 			Title:   "per-operation complexity",
-			Headers: []string{"op", "messages", "bytes"},
-			Rows:    [][]string{{"write", "16", "4096"}, {"snapshot", "32", "8192"}},
+			Keys:    2,
+			Headers: []string{"n", "op", "messages"},
+			Rows:    [][]string{{"4", "write", "8"}, {"4", "snapshot", "8"}},
 			Notes:   []string{"2n messages per write"},
 		}},
 	}
@@ -36,32 +33,18 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReportFromExperiment: a real (quick) experiment run must serialize to
-// valid JSON whose tables match what the run produced.
+// TestReportFromExperiment: every pinned report parses, names its
+// experiment, and re-serialises to the bytes on disk.
 func TestReportFromExperiment(t *testing.T) {
-	e, ok := Lookup("E2")
-	if !ok {
-		t.Fatal("E2 missing from catalogue")
-	}
-	tables := e.Run(Params{Quick: true})
-	r := &Report{Experiment: e.ID, Title: e.Title, Quick: true, Tables: tables}
-	b, err := r.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(b) {
-		t.Fatal("report is not valid JSON")
-	}
-	got, err := ParseReport(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Tables) != len(tables) {
-		t.Fatalf("round trip lost tables: %d != %d", len(got.Tables), len(tables))
-	}
-	for i := range tables {
-		if !reflect.DeepEqual(got.Tables[i].Rows, tables[i].Rows) {
-			t.Errorf("table %d rows mutated by round trip", i)
+	for _, e := range All() {
+		r := loadPinned(t, e.ID)
+		if r.Experiment != e.ID || r.Title != e.Title || len(r.Tables) == 0 {
+			t.Errorf("%s: pinned report is %s %q with %d tables", e.ID, r.Experiment, r.Title, len(r.Tables))
+		}
+		for _, tab := range r.Tables {
+			if len(tab.Rows) == 0 {
+				t.Errorf("%s table %s has no rows", e.ID, tab.ID)
+			}
 		}
 	}
 }
