@@ -113,10 +113,10 @@ func TestHotpathAllocationCeilingsWrapTick(t *testing.T) {
 // path: one 5-entry ν = 1024 WRITE sent over a loopback pair and received,
 // sender and receiver together, where four of the five entries repeat the
 // previous frame — the shape of Algorithm 1's traffic. What may be allocated
-// per delivered frame is the message itself: its struct, its entry array and
-// the one payload that changed (≈ 1.4 KB, 3 allocations). A per-frame
-// buffer on either side, or a decoder that copies repeated payloads again,
-// costs ≥ 4 KB more and trips the ceiling (the path this replaced spent
+// per delivered frame is the message itself: the sender's envelope, and the
+// receiver's struct, entry array and the one payload that changed (≈ 1.6 KB,
+// 4 allocations). A per-frame buffer on either side, or a decoder that
+// copies repeated payloads again, costs ≥ 4 KB more and trips the ceiling (the path this replaced spent
 // ≈ 16 KB per frame). The name shares the TestHotpathAllocationCeilings
 // prefix so CI's existing `-run TestHotpathAllocationCeilings` leg picks it
 // up.
@@ -155,7 +155,7 @@ func TestHotpathAllocationCeilingsTCPHop(t *testing.T) {
 		}
 		return nil
 	}
-	measureOp(t, warmup, hop) // connect, grow the pooled frame, fill the decoder's cache
+	measureOp(t, warmup, hop) // connect, grow the writer's buffer, fill the codec caches
 	allocs, bytes := measureOp(t, ops, hop)
 	const allocCeil, byteCeil = 6, 2_048
 	t.Logf("tcp hop n=%d ν=%d: %d allocs/frame, %d B/frame (ceiling %d / %d)", n, nu, allocs, bytes, allocCeil, byteCeil)

@@ -21,6 +21,13 @@ import (
 
 // Counters aggregates network-level counts. All methods are safe for
 // concurrent use. The zero value is ready to use.
+//
+// Bytes are the messages' encoded sizes (wire.Message.Size), metered when a
+// message is sent. On the TCP transport a frame's writer then subtracts the
+// register payloads it elided as repeats of what the receiving decoder
+// already holds (RecordElided), so there they count the bytes written to
+// the socket; loopback deliveries, and frames lost before they were
+// encoded, keep their full size.
 type Counters struct {
 	msgs         [64]atomic.Int64 // indexed by wire.Type
 	bytes        [64]atomic.Int64
@@ -32,6 +39,8 @@ type Counters struct {
 	invalidTypes atomic.Int64
 	invalidObjs  atomic.Int64
 	resetRejects atomic.Int64
+	badFrames    atomic.Int64
+	elidedBytes  atomic.Int64
 
 	// Gossip-mode accounting: how many GOSSIP sends were full-vector
 	// fallbacks vs ack-dominance deltas, and how many ticks suppressed a
@@ -77,6 +86,22 @@ func (c *Counters) RecordSendMany(t wire.Type, count, n int) {
 	c.msgs[t].Add(int64(count))
 	c.bytes[t].Add(int64(count) * int64(n))
 }
+
+// RecordElided accounts n payload bytes of one type-t message that were
+// metered at send but not written, because the receiver already held
+// them: it subtracts n from the type's bytes and adds it to ElidedBytes.
+func (c *Counters) RecordElided(t wire.Type, n int) {
+	if !c.inRange(t) {
+		return
+	}
+	c.bytes[t].Add(-int64(n))
+	c.elidedBytes.Add(int64(n))
+}
+
+// RecordBadFrame accounts one received frame that failed to decode and was
+// skipped: corrupted, or a repeat of a payload the decoder no longer
+// trusts.
+func (c *Counters) RecordBadFrame() { c.badFrames.Add(1) }
 
 // RecordDrop accounts one message lost by the adversary (or, on the TCP
 // transport, by a failed write or unreachable peer).
@@ -191,6 +216,13 @@ func (c *Counters) InvalidTypes() int64 { return c.invalidTypes.Load() }
 // InvalidObjs returns the number of out-of-range object ids seen.
 func (c *Counters) InvalidObjs() int64 { return c.invalidObjs.Load() }
 
+// BadFrames returns the number of received frames skipped undecoded.
+func (c *Counters) BadFrames() int64 { return c.badFrames.Load() }
+
+// ElidedBytes returns the payload bytes metered at send but elided on the
+// wire.
+func (c *Counters) ElidedBytes() int64 { return c.elidedBytes.Load() }
+
 // RecordResetReject accounts one reset-plane or consensus message dropped
 // by shape validation before any state transition — a hostile sender id,
 // negative epoch, short register payload, or a type outside the reset
@@ -221,6 +253,8 @@ func (c *Counters) Snapshot() Snapshot {
 	s.InvalidTypes = c.invalidTypes.Load()
 	s.InvalidObjs = c.invalidObjs.Load()
 	s.ResetRejects = c.resetRejects.Load()
+	s.BadFrames = c.badFrames.Load()
+	s.ElidedBytes = c.elidedBytes.Load()
 	s.GossipFull = c.gossipFull.Load()
 	s.GossipFullBytes = c.gossipFullBytes.Load()
 	s.GossipDelta = c.gossipDelta.Load()
@@ -248,6 +282,8 @@ type Snapshot struct {
 	InvalidTypes  int64
 	InvalidObjs   int64
 	ResetRejects  int64
+	BadFrames     int64
+	ElidedBytes   int64
 
 	// Gossip-mode breakdown of the TGossip sends above.
 	GossipFull       int64
@@ -271,6 +307,8 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		InvalidTypes:  s.InvalidTypes - o.InvalidTypes,
 		InvalidObjs:   s.InvalidObjs - o.InvalidObjs,
 		ResetRejects:  s.ResetRejects - o.ResetRejects,
+		BadFrames:     s.BadFrames - o.BadFrames,
+		ElidedBytes:   s.ElidedBytes - o.ElidedBytes,
 
 		GossipFull:       s.GossipFull - o.GossipFull,
 		GossipFullBytes:  s.GossipFullBytes - o.GossipFullBytes,
@@ -324,8 +362,9 @@ func (s Snapshot) String() string {
 		fmt.Fprintf(&b, "%-14s msgs=%-8d bytes=%d\n", t, tc.Messages, tc.Bytes)
 	}
 	fmt.Fprintf(&b, "%-14s msgs=%-8d bytes=%d drops=%d dups=%d evictions=%d\n", "TOTAL", s.Messages, s.Bytes, s.Drops, s.Dups, s.Evictions)
-	if s.Reconnects != 0 || s.WriteFailures != 0 || s.InvalidTypes != 0 || s.InvalidObjs != 0 {
-		fmt.Fprintf(&b, "%-14s reconnects=%d write-failures=%d invalid-types=%d invalid-objs=%d\n", "TRANSPORT", s.Reconnects, s.WriteFailures, s.InvalidTypes, s.InvalidObjs)
+	if s.Reconnects != 0 || s.WriteFailures != 0 || s.InvalidTypes != 0 || s.InvalidObjs != 0 || s.BadFrames != 0 || s.ElidedBytes != 0 {
+		fmt.Fprintf(&b, "%-14s reconnects=%d write-failures=%d invalid-types=%d invalid-objs=%d bad-frames=%d elided-bytes=%d\n",
+			"TRANSPORT", s.Reconnects, s.WriteFailures, s.InvalidTypes, s.InvalidObjs, s.BadFrames, s.ElidedBytes)
 	}
 	if s.GossipFull != 0 || s.GossipDelta != 0 || s.GossipSuppressed != 0 {
 		fmt.Fprintf(&b, "%-14s full=%d (%dB) delta=%d (%dB) suppressed=%d\n", "GOSSIP-MODE",

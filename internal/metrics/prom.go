@@ -42,6 +42,8 @@ func (c *Counters) WritePrometheus(w io.Writer) {
 		{"selfstabsnap_write_failures_total", s.WriteFailures},
 		{"selfstabsnap_invalid_types_total", s.InvalidTypes},
 		{"selfstabsnap_invalid_objs_total", s.InvalidObjs},
+		{"selfstabsnap_bad_frames_total", s.BadFrames},
+		{"selfstabsnap_elided_bytes_total", s.ElidedBytes},
 		{"selfstabsnap_gossip_full_total", s.GossipFull},
 		{"selfstabsnap_gossip_full_bytes_total", s.GossipFullBytes},
 		{"selfstabsnap_gossip_delta_total", s.GossipDelta},

@@ -31,6 +31,8 @@ func TestWritePrometheusMatchesSnapshot(t *testing.T) {
 	c.RecordInvalidType()
 	c.RecordInvalidObj()
 	c.RecordInvalidObj()
+	c.RecordBadFrame()
+	c.RecordElided(wire.TWrite, 30)
 	c.RecordGossipFull(40)
 	c.RecordGossipDelta(12)
 	c.RecordGossipDelta(12)
@@ -95,6 +97,8 @@ func assertPromMatchesSnapshot(t *testing.T, r io.Reader, s Snapshot) {
 		"selfstabsnap_write_failures_total":     s.WriteFailures,
 		"selfstabsnap_invalid_types_total":      s.InvalidTypes,
 		"selfstabsnap_invalid_objs_total":       s.InvalidObjs,
+		"selfstabsnap_bad_frames_total":         s.BadFrames,
+		"selfstabsnap_elided_bytes_total":       s.ElidedBytes,
 		"selfstabsnap_gossip_full_total":        s.GossipFull,
 		"selfstabsnap_gossip_full_bytes_total":  s.GossipFullBytes,
 		"selfstabsnap_gossip_delta_total":       s.GossipDelta,

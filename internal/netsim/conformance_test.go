@@ -33,7 +33,7 @@ func TestSendManyEquivalenceConformance(t *testing.T) {
 	defer n.Close()
 	self := func(int) netsim.Transport { return n }
 	// Broadcast shape: the sender is among the recipients.
-	transporttest.SendManyEquivalence(t, n, self, 0, []int{0, 1, 2, 3, 4})
+	transporttest.SendManyEquivalence(t, n, self, 0, []int{0, 1, 2, 3, 4}, false)
 }
 
 // TestPerPeerFIFOConformance pins per-peer delivery ordering on the
@@ -54,7 +54,7 @@ func TestMixedObjectConformance(t *testing.T) {
 	n := netsim.New(netsim.Config{N: 4, Seed: 1, InboxCap: 4096})
 	defer n.Close()
 	self := func(int) netsim.Transport { return n }
-	transporttest.MixedObjectTraffic(t, n, self, 0, []int{1, 2, 3}, 500)
+	transporttest.MixedObjectTraffic(t, n, self, 0, []int{1, 2, 3}, 500, false)
 }
 
 // TestConcurrentFanoutConformance exercises the copy-on-write sharing of

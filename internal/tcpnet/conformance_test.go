@@ -50,7 +50,7 @@ func TestSendManyEquivalenceConformance(t *testing.T) {
 	defer m.Close()
 	endpoint := func(k int) netsim.Transport { return m.Transports[k] }
 	// Broadcast shape: the sender is among the recipients (loopback).
-	transporttest.SendManyEquivalence(t, m.Transports[0], endpoint, 0, []int{0, 1, 2, 3, 4})
+	transporttest.SendManyEquivalence(t, m.Transports[0], endpoint, 0, []int{0, 1, 2, 3, 4}, true)
 }
 
 // TestPerPeerFIFOConformance pins per-peer frame ordering through the
@@ -91,7 +91,7 @@ func TestMixedObjectConformance(t *testing.T) {
 	}
 	defer m.Close()
 	endpoint := func(k int) netsim.Transport { return m.Transports[k] }
-	transporttest.MixedObjectTraffic(t, m.Transports[0], endpoint, 0, []int{1, 2, 3}, 500)
+	transporttest.MixedObjectTraffic(t, m.Transports[0], endpoint, 0, []int{1, 2, 3}, 500, true)
 }
 
 // TestConcurrentFanoutConformance exercises frame sharing across per-peer

@@ -224,16 +224,17 @@ func (c *hammerChecker) check(m *wire.Message) {
 	}
 }
 
-// TestSharedFramesNeverRecycledWhileQueued hammers the frame pool: several
+// TestSharedFramesNeverRecycledWhileQueued hammers the send path: several
 // goroutines SendMany (and Send) to three live peers, one slow peer and one
 // wedged peer. The slow peer reads a frame a millisecond while the senders
-// run, so its writer blocks, its outbox overflows, and the frames queued for
-// it are still waiting long after the live peers' writers have released
+// run, so its writer blocks, its outbox overflows, and the messages queued
+// for it are still waiting long after the live peers' writers have written
 // theirs; the wedged peer never reads, so its writes are abandoned on
-// WriteTimeout. Frames are thus shared, evicted, dropped and recycled all at
-// once. Loss is allowed — these are lossy channels — but whatever arrives,
-// at the slow peer too, must be what was sent: a frame returned to the pool
-// while a queue still held it would arrive as another message's bytes. Run
+// WriteTimeout. Envelopes are thus shared, evicted, dropped and encoded by
+// several writers all at once. Loss is allowed — these are lossy channels —
+// but whatever arrives, at the slow peer too, must be what was sent: a
+// buffer reused while a queue still held it, or an Encoder that counted a
+// frame its reader never saw, would arrive as another message's bytes. Run
 // under -race.
 func TestSharedFramesNeverRecycledWhileQueued(t *testing.T) {
 	const live, senders, perSender = 3, 3, 1500
@@ -249,7 +250,7 @@ func TestSharedFramesNeverRecycledWhileQueued(t *testing.T) {
 
 	// The slow peer speaks the frame format by hand, one connection after
 	// another (the sender redials after an abandoned write), each opened by
-	// the sender's hello.
+	// the sender's hello and read with a fresh Decoder.
 	slowLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -266,6 +267,7 @@ func TestSharedFramesNeverRecycledWhileQueued(t *testing.T) {
 				return
 			}
 			br := bufio.NewReader(conn)
+			var dec wire.Decoder
 			var hello [4]byte
 			if _, err := io.ReadFull(br, hello[:]); err != nil {
 				conn.Close()
@@ -283,7 +285,7 @@ func TestSharedFramesNeverRecycledWhileQueued(t *testing.T) {
 				if _, err := io.ReadFull(br, buf); err != nil {
 					break // a frame cut short by an abandoned write
 				}
-				m, err := wire.Unmarshal(buf)
+				m, err := dec.Unmarshal(buf)
 				if err != nil {
 					t.Errorf("peer %d: undecodable frame: %v", slow, err)
 					break

@@ -130,8 +130,8 @@ func TestSimultaneousDialOneLinkPerPair(t *testing.T) {
 }
 
 // readRawFrame reads one length-prefixed frame from a connection the test
-// speaks by hand.
-func readRawFrame(br *bufio.Reader) (*wire.Message, error) {
+// speaks by hand, and decodes it with that connection's Decoder.
+func readRawFrame(br *bufio.Reader, dec *wire.Decoder) (*wire.Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, err
@@ -140,7 +140,7 @@ func readRawFrame(br *bufio.Reader) (*wire.Message, error) {
 	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, err
 	}
-	return wire.Unmarshal(payload)
+	return dec.Unmarshal(payload)
 }
 
 // TestLosingDialRetiredNotDropped: node 1 dialled node 0, then accepts node
@@ -172,7 +172,8 @@ func TestLosingDialRetiredNotDropped(t *testing.T) {
 	if _, err := io.ReadFull(br, hello[:]); err != nil || binary.LittleEndian.Uint32(hello[:]) != 1 {
 		t.Fatalf("hello %v, err %v; want node 1", hello, err)
 	}
-	if got, err := readRawFrame(br); err != nil || got.SNS != 1 {
+	var dec wire.Decoder
+	if got, err := readRawFrame(br, &dec); err != nil || got.SNS != 1 {
 		t.Fatalf("first frame on node 1's dial: %+v, %v", got, err)
 	}
 
@@ -190,7 +191,7 @@ func TestLosingDialRetiredNotDropped(t *testing.T) {
 
 	tr.Send(1, 0, &wire.Message{Type: wire.TGossip, SNS: 3})
 	own.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if got, err := readRawFrame(bufio.NewReader(own)); err != nil || got.SNS != 3 {
+	if got, err := readRawFrame(bufio.NewReader(own), new(wire.Decoder)); err != nil || got.SNS != 3 {
 		t.Fatalf("frame after the switch, on node 0's connection: %+v, %v", got, err)
 	}
 }

@@ -30,14 +30,39 @@
 //     a stalled or slow receiver loses the *oldest* queued messages —
 //     metered as evictions — instead of exerting backpressure on senders,
 //     which would violate the model's bounded-capacity lossy channels;
-//   - the send path is asynchronous: Send serializes the frame and hands it
-//     to a per-peer writer goroutine through a bounded drop-oldest outbox,
-//     so a stalled TCP peer (zero-window, mid-dial, dead) costs the sender
-//     an eviction counter, never a blocking conn.Write — the paper's
-//     never-blocking sends;
+//   - the send path is asynchronous: Send hands the message to a per-peer
+//     writer goroutine through a bounded drop-oldest outbox, so a stalled
+//     TCP peer (zero-window, mid-dial, dead) costs the sender an eviction
+//     counter, never a blocking conn.Write — the paper's never-blocking
+//     sends;
 //   - failed peers are re-dialed with exponential backoff plus jitter, so
 //     a dead peer costs one cheap in-memory check per frame instead of a
 //     synchronous dial.
+//
+// # Frames
+//
+// A frame is a 4-byte little-endian length, then one message encoded by the
+// connection's wire.Encoder and decoded by the wire.Decoder of the reader at
+// the other end. Each direction of a connection is one stream: the writer
+// makes a fresh Encoder whenever the connection it writes on changes (a
+// dial, an adopted connection, a connection retired after a simultaneous
+// dial), and every reader starts a fresh Decoder. The Encoder
+// writes a Message.Reg payload equal to the one the receiving Decoder holds
+// at that position as a repeat marker — the payload's length field set to
+// 0xFFFFFFFF, which no frame can hold — and the Decoder substitutes its
+// cached copy, so a register vector costs on the wire only the entries that
+// changed since the sender's previous frame on that connection. Only the
+// writer encodes, immediately before the write, so a message evicted from
+// the outbox never advances the Encoder past what the reader sees.
+//
+// Refresh rule: every 8th vector-carrying frame on a connection is written
+// with no repeat marker, and the two caches agree after any such frame,
+// whatever they held before. A frame that fails to decode is skipped whole
+// (the length prefix keeps the stream in step) and metered as a bad frame;
+// after it the Decoder rejects every repeat marker until a vector-carrying
+// frame without one arrives, so a message is never built from a cache the
+// Encoder may not share, and at most the frames before the next refresh are
+// lost — channel loss the algorithms' retransmissions already absorb.
 package tcpnet
 
 import (
@@ -47,9 +72,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"selfstabsnap/internal/mailbox"
@@ -92,11 +115,10 @@ type Options struct {
 	// (default 2s), with uniform jitter of up to half the backoff added.
 	RedialBackoffMin time.Duration
 	RedialBackoffMax time.Duration
-	// WriteBatch bounds how many queued frames one writer drain cycle
-	// coalesces into a single vectored write (net.Buffers / writev;
-	// default 64). A burst of sends to one peer then costs one syscall
-	// and one deadline update instead of one each per frame. 1 restores
-	// the frame-at-a-time writer.
+	// WriteBatch bounds how many queued messages one writer drain cycle
+	// encodes into a single write (default 64). A burst of sends to one
+	// peer then costs one syscall and one deadline update instead of one
+	// each per frame. 1 restores the frame-at-a-time writer.
 	WriteBatch int
 }
 
@@ -128,58 +150,31 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// maxRetainedBurst bounds the write buffer a writer keeps between bursts:
+// one burst of unusually large frames must not pin its size for good.
+const maxRetainedBurst = 1 << 20
+
 // peer is this node's side of the link to one other node: a bounded
-// drop-oldest queue of encoded frames drained by a dedicated writer
-// goroutine, the connection frames are written on (if up) and the redial
-// backoff state. Only the writer dials and writes, so senders never touch
-// the socket; the mutex orders the writer against adopt and against the
-// readLoop that clears a dead link.
+// drop-oldest queue of messages drained by a dedicated writer goroutine,
+// the connection frames are written on (if up), the codec state of that
+// connection and the redial backoff state. Only the writer dials, encodes
+// and writes, so senders never touch the socket; the mutex orders the
+// writer against adopt and against the readLoop that clears a dead link.
 type peer struct {
-	outbox *mailbox.Queue[*frame] // nil for the self peer (loopback skips sockets)
+	outbox *mailbox.Queue[*wire.Message] // nil for the self peer (loopback skips sockets)
 
 	// Touched by the writer goroutine alone.
 	backoff  time.Duration
 	nextDial time.Time
+	enc      wire.Encoder // the encoding end of encConn's stream
+	encConn  net.Conn     // the connection enc encodes for
+	buf      []byte       // the burst being written, frames back to back
+	ends     []int        // the end offset in buf of each frame of the burst
 
 	mu       sync.Mutex
 	conn     net.Conn  // the link; nil until dialled or accepted, and after it dies
 	dialled  bool      // conn was dialled by this node, not accepted
 	deadline time.Time // write deadline armed on conn; zero on a fresh connection
-}
-
-// frame is one encoded outbound message: 4-byte little-endian payload
-// length, then the payload. Frames come from a pool and are counted by
-// reference, because a SendMany queues one frame to several writers: the
-// sender holds a reference while it queues, each outbox entry holds one,
-// and whoever drops the last returns the frame to the pool. Only writers
-// and senders release. A frame evicted from a full outbox, or drained at
-// shutdown, keeps its count above zero for ever and is left to the garbage
-// collector — so a frame is never recycled while any queue may still
-// deliver it.
-type frame struct {
-	buf  []byte
-	refs atomic.Int32
-}
-
-var framePool = sync.Pool{New: func() any { return new(frame) }}
-
-// newFrame encodes m into a pooled frame and returns it holding the
-// caller's reference. The buffer is grown to exactly the frame's size (by
-// m.Size()) at most once, and reused as is when it is already that large.
-func newFrame(m *wire.Message) *frame {
-	f := framePool.Get().(*frame)
-	n := m.Size()
-	b := slices.Grow(f.buf[:0], 4+n)
-	b = binary.LittleEndian.AppendUint32(b, uint32(n))
-	f.buf = wire.AppendMarshal(b, m)
-	f.refs.Store(1)
-	return f
-}
-
-func (f *frame) release() {
-	if f.refs.Add(-1) == 0 {
-		framePool.Put(f)
-	}
 }
 
 // Transport is a single node's TCP endpoint. It implements
@@ -244,7 +239,7 @@ func newTransport(self int, addrs []string, ln net.Listener, opts Options) *Tran
 		if i == self {
 			continue // loopback never goes through a socket
 		}
-		t.peers[i].outbox = mailbox.New[*frame](opts.OutboxCap)
+		t.peers[i].outbox = mailbox.New[*wire.Message](opts.OutboxCap)
 		t.wg.Add(1)
 		go t.writeLoop(t.peers[i], i)
 	}
@@ -357,8 +352,8 @@ func (t *Transport) readLoop(conn net.Conn, k int) {
 	}()
 	// A frame that fits the read window is decoded where it lies: the codec
 	// copies every byte it keeps, so the window is free for the next read as
-	// soon as Unmarshal returns. The decoder is per connection because it
-	// interns payloads against the previous message of this sender.
+	// soon as Unmarshal returns. The decoder is per connection: it resolves
+	// the repeat markers of the Encoder at the other end of this stream.
 	br := bufio.NewReaderSize(conn, readWindow)
 	var dec wire.Decoder
 	for {
@@ -389,12 +384,15 @@ func (t *Transport) readLoop(conn net.Conn, k int) {
 			br.Discard(n)
 		}
 		if err != nil {
-			continue // corrupted frame; self-stabilization demands we drop, not crash
+			// Corrupted, or a repeat the decoder cannot trust:
+			// self-stabilization demands we drop, not crash.
+			t.counters.RecordBadFrame()
+			continue
 		}
-		// The receiver stamps the destination: broadcast frames are
-		// marshalled once and shared across all peers, so the wire To field
-		// is not per-recipient. A frame that arrived here is, by
-		// construction, addressed to this node.
+		// The receiver stamps the destination: a broadcast shares one
+		// envelope across all peers, so the wire To field is not
+		// per-recipient. A frame that arrived here is, by construction,
+		// addressed to this node.
 		m.To = int32(t.self)
 		t.accept(m)
 	}
@@ -409,110 +407,81 @@ func (t *Transport) accept(m *wire.Message) {
 	}
 }
 
-// Send implements netsim.Transport. from must be this node's id. The frame
-// is serialized synchronously (loopback deliveries share the caller's
-// payload copy-on-write under the Transport contract: payload contents are
-// immutable after send) and queued to the peer's writer goroutine — Send
-// itself never performs network I/O and never blocks. A message that cannot be delivered
-// (transport closed, outbox overflow, peer unreachable or in dial backoff,
-// write failure) is lost and metered, matching the simulator's lossy
-// bounded-capacity channels. Sends are metered at serialization time — a
-// transmission is counted even if the frame is later lost, exactly as the
-// simulator meters sends the adversary drops.
+// Send implements netsim.Transport. from must be this node's id. The
+// message gets a copy-on-write envelope over the caller's payload (payload
+// contents are immutable after send, per the Transport contract), which is
+// delivered directly on loopback and otherwise queued to the peer's writer
+// goroutine — Send itself never encodes, performs network I/O or blocks. A
+// message that cannot be delivered (transport closed, outbox overflow, peer
+// unreachable or in dial backoff, write failure) is lost and metered,
+// matching the simulator's lossy bounded-capacity channels. Sends are
+// metered here, at Size() bytes — a transmission is counted even if the
+// frame is later lost, exactly as the simulator meters sends the adversary
+// drops; the writer subtracts what it elides (metrics.Counters).
 func (t *Transport) Send(from, to int, m *wire.Message) {
 	if from != t.self || to < 0 || to >= len(t.addrs) {
 		return
 	}
+	env := m.ShallowClone()
+	env.From, env.To = int32(from), int32(to)
+	t.counters.RecordSend(env.Type, env.Size())
 	if to == t.self {
-		// Loopback delivery without a socket: a copy-on-write envelope over
-		// the caller's payload, like the simulator's Send. Size() is exactly
-		// the marshalled payload length, so loopback and socket sends meter
-		// identically.
-		c := m.ShallowClone()
-		c.From, c.To = int32(from), int32(to)
-		t.counters.RecordSend(c.Type, c.Size())
-		t.accept(c)
+		t.accept(env) // loopback delivery without a socket
 		return
 	}
-	env := *m // the envelope is only read while encoding; it need not outlive Send
-	env.From, env.To = int32(from), int32(to)
-	f := newFrame(&env)
-	t.counters.RecordSend(env.Type, len(f.buf)-4)
-	t.enqueueFrame(to, f)
-	f.release()
+	t.enqueue(to, env)
 }
 
-// SendMany implements the netsim.ManySender broadcast fast path: the frame
-// is marshalled once and the same frame is queued to every recipient's
-// writer (writers only read frames, so sharing is safe; the last one to
-// finish with it recycles it). The shared frame cannot carry a
-// per-recipient To, so it is stamped with -1 and the receiving transport
-// rewrites To on arrival — as every readLoop does for all frames. Metering
-// is identical to a Send loop: one send of the payload size per recipient.
+// SendMany implements the netsim.ManySender broadcast fast path: one
+// envelope is queued to every recipient's writer, each of which encodes it
+// with its own connection's Encoder (writers only read envelopes, so
+// sharing is safe). The shared envelope cannot carry a per-recipient To, so
+// it is stamped with -1 and the receiving transport rewrites To on arrival
+// — as every readLoop does for all frames. Metering is identical to a Send
+// loop: one send of Size() bytes per recipient, each metered before it is
+// queued.
 func (t *Transport) SendMany(from int, to []int, m *wire.Message) {
 	if from != t.self {
 		return
 	}
-	var f *frame
-	sent, size := 0, 0
+	var env *wire.Message
 	for _, k := range to {
-		if k < 0 || k >= len(t.addrs) {
-			continue
+		switch {
+		case k == t.self:
+			t.Send(from, k, m)
+		case k >= 0 && k < len(t.addrs):
+			if env == nil {
+				env = m.ShallowClone()
+				env.From, env.To = int32(from), -1 // To is stamped by the receiver
+			}
+			t.counters.RecordSend(env.Type, env.Size())
+			t.enqueue(k, env)
 		}
-		if k == t.self {
-			c := m.ShallowClone()
-			c.From, c.To = int32(from), int32(t.self)
-			t.counters.RecordSend(c.Type, c.Size())
-			t.accept(c)
-			continue
-		}
-		if f == nil {
-			env := *m
-			env.From, env.To = int32(from), -1 // To is stamped by the receiver
-			f = newFrame(&env)
-			size = len(f.buf) - 4
-		}
-		t.enqueueFrame(k, f)
-		sent++
-	}
-	if sent > 0 {
-		f.release()
-		t.counters.RecordSendMany(m.Type, sent, size)
 	}
 }
 
-// enqueueFrame hands a frame to peer to's writer goroutine, with a
-// reference of its own. An overflowing outbox loses its oldest frame — the
-// sender-side half of the model's bounded-capacity channel — metered as an
-// eviction.
-func (t *Transport) enqueueFrame(to int, f *frame) {
-	f.refs.Add(1)
-	if t.peers[to].outbox.Push(f) {
+// enqueue hands a message to peer to's writer goroutine. An overflowing
+// outbox loses its oldest message — the sender-side half of the model's
+// bounded-capacity channel — metered as an eviction.
+func (t *Transport) enqueue(to int, m *wire.Message) {
+	if t.peers[to].outbox.Push(m) {
 		t.counters.RecordEviction()
 	}
 }
 
 // writeLoop is peer to's writer goroutine: it drains the outbox in bursts
 // — one blocking Pop, then non-blocking TryPops up to WriteBatch — and
-// hands each burst to a single vectored write. All blocking I/O of the
-// send path happens here, off the caller's critical path. The scratch
-// slices are private to this goroutine: net.Buffers consumes the slice
-// headers in bufs during the write, never the (possibly SendMany-shared,
-// immutable) frame bytes. Written or dropped, every frame of the burst is
-// released afterwards.
+// hands each burst to a single write. All encoding and blocking I/O of the
+// send path happens here, off the caller's critical path.
 func (t *Transport) writeLoop(p *peer, to int) {
 	defer t.wg.Done()
-	batch := make([]*frame, 0, t.opts.WriteBatch)
-	bufs := make([][]byte, 0, t.opts.WriteBatch)
-	// WriteTo needs an addressable net.Buffers that escapes; declared here
-	// it is allocated once per writer, not once per burst.
-	var vec net.Buffers
+	batch := make([]*wire.Message, 0, t.opts.WriteBatch)
 	for {
-		f, ok := p.outbox.Pop()
+		m, ok := p.outbox.Pop()
 		if !ok {
 			return
 		}
-		batch = append(batch[:0], f)
+		batch = append(batch[:0], m)
 		for len(batch) < t.opts.WriteBatch {
 			next, ok := p.outbox.TryPop()
 			if !ok {
@@ -520,28 +489,20 @@ func (t *Transport) writeLoop(p *peer, to int) {
 			}
 			batch = append(batch, next)
 		}
-		bufs = bufs[:0]
-		for _, queued := range batch {
-			bufs = append(bufs, queued.buf)
-		}
-		vec = bufs
-		t.writeFrames(p, to, &vec)
-		for i, queued := range batch {
-			queued.release()
-			batch[i], bufs[i] = nil, nil
-		}
+		t.writeFrames(p, to, batch)
+		clear(batch)
 	}
 }
 
-// writeFrames writes a burst of frames with one writev, dialing if
-// necessary. Frames that cannot be written promptly (peer in dial
-// backoff, dead connection, write timeout) are dropped and metered — the
-// writer moves on to newer frames rather than retrying, leaving recovery
-// to the algorithms' repeated broadcasts, exactly as over the simulated
-// lossy network. On a mid-batch write error only the undelivered
-// remainder counts as dropped: net.Buffers consumes fully-written frames,
-// so what is left in bufs is exactly what the peer will not receive.
-func (t *Transport) writeFrames(p *peer, to int, bufs *net.Buffers) {
+// writeFrames encodes a burst of messages into frames and writes them with
+// one write, dialing if necessary. Frames that cannot be written promptly
+// (peer in dial backoff, dead connection, write timeout) are dropped and
+// metered — the writer moves on to newer frames rather than retrying,
+// leaving recovery to the algorithms' repeated broadcasts, exactly as over
+// the simulated lossy network. A message dropped before it is encoded
+// keeps the full size it was metered at. On a mid-burst write error only
+// the frames not wholly written count as dropped.
+func (t *Transport) writeFrames(p *peer, to int, batch []*wire.Message) {
 	p.mu.Lock()
 	if p.conn == nil {
 		p.mu.Unlock()
@@ -551,10 +512,30 @@ func (t *Transport) writeFrames(p *peer, to int, bufs *net.Buffers) {
 	conn := p.conn
 	if conn == nil {
 		p.mu.Unlock()
-		for range *bufs {
+		for range batch {
 			t.counters.RecordDrop()
 		}
 		return
+	}
+	if conn != p.encConn {
+		// A new connection is a new stream, read by a fresh Decoder.
+		p.enc, p.encConn = wire.Encoder{}, conn
+	}
+	b, ends := p.buf[:0], p.ends[:0]
+	for _, m := range batch {
+		start := len(b)
+		b = append(b, 0, 0, 0, 0) // the length, set once the frame is encoded
+		var elided int
+		b, elided = p.enc.AppendMarshal(b, m)
+		binary.LittleEndian.PutUint32(b[start:], uint32(len(b)-start-4))
+		if elided > 0 {
+			t.counters.RecordElided(m.Type, elided)
+		}
+		ends = append(ends, len(b))
+	}
+	p.buf, p.ends = b, ends
+	if cap(p.buf) > maxRetainedBurst {
+		p.buf = nil
 	}
 	// Re-arming the deadline costs a poller timer update; with more than
 	// half of WriteTimeout left on it, the armed one still bounds this
@@ -563,15 +544,15 @@ func (t *Transport) writeFrames(p *peer, to int, bufs *net.Buffers) {
 		p.deadline = now.Add(t.opts.WriteTimeout)
 		conn.SetWriteDeadline(p.deadline)
 	}
-	if _, err := bufs.WriteTo(conn); err != nil {
-		if p.conn == conn {
-			p.conn = nil
-		}
+	if n, err := conn.Write(b); err != nil {
+		p.conn = nil
 		p.mu.Unlock()
 		conn.Close()
 		t.counters.RecordWriteFailure()
-		for range *bufs {
-			t.counters.RecordDrop()
+		for _, end := range ends {
+			if end > n {
+				t.counters.RecordDrop()
+			}
 		}
 		return
 	}

@@ -144,47 +144,65 @@ func samplePayload(n int) *wire.Message {
 // size per (from, to) pair, each delivery carrying the full payload with a
 // correctly stamped envelope. endpoint(k) must return the transport whose
 // Recv observes node k (the same object for the simulator, node k's
-// endpoint for TCP).
-func SendManyEquivalence(t *testing.T, sender netsim.Transport, endpoint func(id int) netsim.Transport, from int, to []int) {
+// endpoint for TCP). See meteredLegs for elides and the fresh transport
+// it requires.
+func SendManyEquivalence(t *testing.T, sender netsim.Transport, endpoint func(id int) netsim.Transport, from int, to []int, elides bool) {
+	t.Helper()
+	payload := samplePayload(len(to))
+	meteredLegs(t, sender, endpoint, from, to, payload, elides, func(label string, k int, m *wire.Message) {
+		if m.From != int32(from) || m.To != int32(k) {
+			t.Fatalf("conformance: %s envelope to node %d = (From %d, To %d), want (%d, %d)", label, k, m.From, m.To, from, k)
+		}
+		if m.Type != payload.Type || m.SSN != payload.SSN || len(m.Reg) != len(payload.Reg) || len(m.Tasks) != len(payload.Tasks) {
+			t.Fatalf("conformance: %s payload mangled at node %d: %+v", label, k, m)
+		}
+		for i := range payload.Reg {
+			if m.Reg[i].TS != payload.Reg[i].TS || string(m.Reg[i].Val) != string(payload.Reg[i].Val) {
+				t.Fatalf("conformance: %s register %d mangled at node %d: %v", label, i, k, m.Reg[i])
+			}
+		}
+	})
+	SweepFrozen(t)
+}
+
+// meteredLegs sends payload to every recipient in three legs — a priming
+// Send loop, a Send loop and a SendMany — hands each delivery to verify, and
+// asserts that the last two legs meter exactly alike. They start from the
+// same codec state: the priming leg left payload as the last register
+// vector on every link. Each leg's counters are read once every recipient
+// holds its delivery, because a transport may meter a frame until it writes
+// it. The priming leg must be the first vector-carrying traffic from the
+// sender (a fresh transport); after it, a repeat of payload costs fewer
+// bytes on a transport that elides repeated payloads on the wire (elides)
+// and the same on one that does not.
+func meteredLegs(t *testing.T, sender netsim.Transport, endpoint func(id int) netsim.Transport, from int, to []int, payload *wire.Message, elides bool, verify func(label string, k int, m *wire.Message)) {
 	t.Helper()
 	many, ok := sender.(netsim.ManySender)
 	if !ok {
 		t.Fatalf("conformance: transport %T does not implement netsim.ManySender", sender)
 	}
-	payload := samplePayload(len(to))
-
-	check := func(label string, send func()) (msgs, bytes int64) {
+	leg := func(label string, send func()) (msgs, bytes int64) {
 		before := sender.Counters().Snapshot()
 		send()
-		delta := sender.Counters().Snapshot().Sub(before)
 		for _, k := range to {
 			m, ok := recvTimeout(t, endpoint(k), k)
 			if !ok {
 				t.Fatalf("conformance: %s delivered nothing to node %d", label, k)
 			}
-			if m.From != int32(from) || m.To != int32(k) {
-				t.Fatalf("conformance: %s envelope to node %d = (From %d, To %d), want (%d, %d)", label, k, m.From, m.To, from, k)
-			}
-			if m.Type != payload.Type || m.SSN != payload.SSN || len(m.Reg) != len(payload.Reg) || len(m.Tasks) != len(payload.Tasks) {
-				t.Fatalf("conformance: %s payload mangled at node %d: %+v", label, k, m)
-			}
-			for i := range payload.Reg {
-				if m.Reg[i].TS != payload.Reg[i].TS || string(m.Reg[i].Val) != string(payload.Reg[i].Val) {
-					t.Fatalf("conformance: %s register %d mangled at node %d: %v", label, i, k, m.Reg[i])
-				}
-			}
+			verify(label, k, m)
 		}
+		delta := sender.Counters().Snapshot().Sub(before)
 		return delta.Messages, delta.Bytes
 	}
-
-	sendMsgs, sendBytes := check("Send loop", func() {
+	loop := func() {
 		for _, k := range to {
 			sender.Send(from, k, payload)
 		}
-	})
-	manyMsgs, manyBytes := check("SendMany", func() {
-		many.SendMany(from, to, payload)
-	})
+	}
+
+	_, firstBytes := leg("priming Send loop", loop)
+	sendMsgs, sendBytes := leg("Send loop", loop)
+	manyMsgs, manyBytes := leg("SendMany", func() { many.SendMany(from, to, payload) })
 	if manyMsgs != sendMsgs || manyBytes != sendBytes {
 		t.Fatalf("conformance: SendMany metered (%d msgs, %d bytes), Send loop metered (%d msgs, %d bytes)",
 			manyMsgs, manyBytes, sendMsgs, sendBytes)
@@ -192,7 +210,12 @@ func SendManyEquivalence(t *testing.T, sender netsim.Transport, endpoint func(id
 	if want := int64(len(to)); sendMsgs != want {
 		t.Fatalf("conformance: Send loop metered %d msgs, want one per recipient (%d)", sendMsgs, want)
 	}
-	SweepFrozen(t)
+	if elides && sendBytes >= firstBytes {
+		t.Fatalf("conformance: a repeated payload metered %d bytes, its first send %d: no repeat elided", sendBytes, firstBytes)
+	}
+	if !elides && sendBytes != firstBytes {
+		t.Fatalf("conformance: a repeated payload metered %d bytes, its first send %d", sendBytes, firstBytes)
+	}
 }
 
 // ConcurrentFanout drives `rounds` fan-outs while every recipient
@@ -336,47 +359,20 @@ func PerPeerFIFO(t *testing.T, sender netsim.Transport, endpoint func(id int) ne
 //   - SendMany with a nonzero Obj delivers and meters exactly like the
 //     equivalent Send loop.
 //
-// endpoint(k) must return the transport whose Recv observes node k.
-func MixedObjectTraffic(t *testing.T, sender netsim.Transport, endpoint func(id int) netsim.Transport, from int, to []int, count int) {
+// endpoint(k) must return the transport whose Recv observes node k. See
+// meteredLegs for elides and the fresh transport it requires.
+func MixedObjectTraffic(t *testing.T, sender netsim.Transport, endpoint func(id int) netsim.Transport, from int, to []int, count int, elides bool) {
 	t.Helper()
-	many, ok := sender.(netsim.ManySender)
-	if !ok {
-		t.Fatalf("conformance: transport %T does not implement netsim.ManySender", sender)
-	}
+	many := sender.(netsim.ManySender) // meteredLegs has checked it
 
 	// Metering equivalence with a nonzero object id.
 	payload := samplePayload(len(to))
 	payload.Obj = 42
-	before := sender.Counters().Snapshot()
-	for _, k := range to {
-		sender.Send(from, k, payload)
-	}
-	loopDelta := sender.Counters().Snapshot().Sub(before)
-	for _, k := range to {
-		m, ok := recvTimeout(t, endpoint(k), k)
-		if !ok {
-			t.Fatalf("conformance: Send loop delivered nothing to node %d", k)
-		}
+	meteredLegs(t, sender, endpoint, from, to, payload, elides, func(label string, k int, m *wire.Message) {
 		if m.Obj != 42 {
-			t.Fatalf("conformance: Send mangled Obj at node %d: got %d, want 42", k, m.Obj)
+			t.Fatalf("conformance: %s mangled Obj at node %d: got %d, want 42", label, k, m.Obj)
 		}
-	}
-	before = sender.Counters().Snapshot()
-	many.SendMany(from, to, payload)
-	manyDelta := sender.Counters().Snapshot().Sub(before)
-	for _, k := range to {
-		m, ok := recvTimeout(t, endpoint(k), k)
-		if !ok {
-			t.Fatalf("conformance: SendMany delivered nothing to node %d", k)
-		}
-		if m.Obj != 42 {
-			t.Fatalf("conformance: SendMany mangled Obj at node %d: got %d, want 42", k, m.Obj)
-		}
-	}
-	if manyDelta.Messages != loopDelta.Messages || manyDelta.Bytes != loopDelta.Bytes {
-		t.Fatalf("conformance: mixed-object SendMany metered (%d msgs, %d bytes), Send loop metered (%d msgs, %d bytes)",
-			manyDelta.Messages, manyDelta.Bytes, loopDelta.Messages, loopDelta.Bytes)
-	}
+	})
 
 	// Per-peer FIFO across an object-interleaved stream.
 	objOf := func(i int) int32 {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,6 +16,10 @@ var (
 	ErrTooLarge  = errors.New("wire: collection too large")
 	ErrBadType   = errors.New("wire: unknown message type")
 	ErrBadObj    = errors.New("wire: negative object id")
+	// ErrStaleRepeat rejects a repeat marker the Decoder cannot resolve: no
+	// payload cached at its position, or a cache not yet refreshed since a
+	// frame failed to decode.
+	ErrStaleRepeat = errors.New("wire: repeat marker without a trusted cached payload")
 )
 
 // maxElems bounds every length-prefixed collection. Bounded decoding is part
@@ -22,7 +27,17 @@ var (
 // node allocate unbounded memory.
 const maxElems = 1 << 16
 
-type encoder struct{ b []byte }
+// repeatMarker takes the place of a register-vector payload's length field
+// when an Encoder elides the payload (see Encoder). No frame can hold a
+// payload that long, so the stateless Unmarshal rejects it as truncated.
+const repeatMarker = math.MaxUint32
+
+type encoder struct {
+	b      []byte
+	cache  *Encoder // nil for the stateless Marshal: every payload is literal
+	elide  bool     // cache may stand in for repeated Reg payloads in this frame
+	elided int      // payload bytes replaced by repeat markers so far
+}
 
 func (e *encoder) u8(v uint8)   { e.b = append(e.b, v) }
 func (e *encoder) u16(v uint16) { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
@@ -46,9 +61,25 @@ func (e *encoder) tsValue(v types.TSValue) {
 	e.bytes(v.Val)
 }
 
-func (e *encoder) regVector(r types.RegVector) {
+// regVector encodes r; reg marks a Message.Reg, the only vector whose
+// payloads an Encoder elides. Through an Encoder every non-empty payload is
+// staged at its position, as the receiving Decoder will stage it.
+func (e *encoder) regVector(r types.RegVector, reg bool) {
 	e.u16(uint16(len(r)))
-	for _, entry := range r {
+	for i, entry := range r {
+		if e.cache != nil && len(entry.Val) > 0 {
+			repeat := reg && e.elide && bytes.Equal(e.cache.get(i), entry.Val)
+			e.cache.stage(i, entry.Val)
+			if repeat {
+				if types.MutcheckEnabled {
+					types.AssertImmutable(entry.Val)
+				}
+				e.i64(entry.TS)
+				e.u32(repeatMarker)
+				e.elided += len(entry.Val)
+				continue
+			}
+		}
 		e.tsValue(entry)
 	}
 }
@@ -66,10 +97,11 @@ func (e *encoder) vectorClock(v types.VectorClock) {
 }
 
 type decoder struct {
-	b      []byte
-	off    int
-	err    error
-	intern *Decoder // nil for the stateless Unmarshal: every payload is a fresh buffer
+	b        []byte
+	off      int
+	err      error
+	intern   *Decoder // nil for the stateless Unmarshal: every payload is a fresh buffer
+	repeated bool     // a repeat marker was resolved in this frame
 }
 
 func (d *decoder) fail() {
@@ -127,9 +159,16 @@ func (d *decoder) i32() int32 { return int32(d.u32()) }
 // d.b: the caller may reuse the input buffer as soon as Unmarshal returns
 // (the TCP transport decodes in place from its read window). slot is the
 // payload's position for a Decoder's interning cache: its index within a
-// register vector, or entrySlot.
-func (d *decoder) bytesVal(slot int) []byte {
-	n := int(d.u32())
+// register vector, or entrySlot. Only a Decoder resolves a repeat marker,
+// and only where an Encoder may write one (reg: an entry of a Message.Reg);
+// anywhere else the marker reads as a length no frame can hold.
+func (d *decoder) bytesVal(slot int, reg bool) []byte {
+	u := d.u32()
+	if u == repeatMarker && reg && d.intern != nil {
+		d.repeated = true
+		return d.intern.repeat(d, slot)
+	}
+	n := int(u)
 	if n == 0 {
 		return nil
 	}
@@ -158,11 +197,12 @@ func copyPayload(s []byte) types.Value {
 	return out
 }
 
-func (d *decoder) tsValue(slot int) types.TSValue {
-	return types.TSValue{TS: d.i64(), Val: d.bytesVal(slot)}
+func (d *decoder) tsValue(slot int, reg bool) types.TSValue {
+	return types.TSValue{TS: d.i64(), Val: d.bytesVal(slot, reg)}
 }
 
-func (d *decoder) regVector() types.RegVector {
+// regVector decodes a register vector; reg marks a Message.Reg.
+func (d *decoder) regVector(reg bool) types.RegVector {
 	n := int(d.u16())
 	if n == 0 {
 		return nil
@@ -173,7 +213,7 @@ func (d *decoder) regVector() types.RegVector {
 	}
 	r := make(types.RegVector, n)
 	for i := range r {
-		r[i] = d.tsValue(i)
+		r[i] = d.tsValue(i, reg)
 	}
 	return r
 }
@@ -198,15 +238,7 @@ func (d *decoder) vectorClock() types.VectorClock {
 // exactly Size() bytes, so a marshal costs one allocation regardless of
 // payload shape.
 func Marshal(m *Message) []byte {
-	return AppendMarshal(make([]byte, 0, m.Size()), m)
-}
-
-// AppendMarshal appends m's encoding to b and returns the extended slice.
-// It allocates nothing when b has Size() bytes of spare capacity — the TCP
-// transport uses this to build a length-prefixed frame (4-byte header plus
-// payload) in a single allocation.
-func AppendMarshal(b []byte, m *Message) []byte {
-	e := encoder{b: b}
+	e := encoder{b: make([]byte, 0, m.Size())}
 	marshalInto(&e, m)
 	return e.b
 }
@@ -222,7 +254,7 @@ func marshalInto(e *encoder, m *Message) {
 	e.i64(m.SNS)
 	e.i32(m.Src)
 	e.i64(m.TaskSN)
-	e.regVector(m.Reg)
+	e.regVector(m.Reg, true)
 	e.tsValue(m.Entry)
 
 	e.u16(uint16(len(m.Tasks)))
@@ -236,7 +268,7 @@ func marshalInto(e *encoder, m *Message) {
 	for _, s := range m.Saves {
 		e.i32(s.Node)
 		e.i64(s.SNS)
-		e.regVector(s.Result)
+		e.regVector(s.Result, false)
 	}
 
 	if m.Inner != nil {
@@ -297,8 +329,8 @@ func unmarshalFrom(d *decoder, depth int) *Message {
 	m.SNS = d.i64()
 	m.Src = d.i32()
 	m.TaskSN = d.i64()
-	m.Reg = d.regVector()
-	m.Entry = d.tsValue(entrySlot)
+	m.Reg = d.regVector(true)
+	m.Entry = d.tsValue(entrySlot, false)
 
 	nt := int(d.u16())
 	if nt > maxElems {
@@ -320,7 +352,7 @@ func unmarshalFrom(d *decoder, depth int) *Message {
 	if ns > 0 {
 		m.Saves = make([]SaveEntry, ns)
 		for i := range m.Saves {
-			m.Saves[i] = SaveEntry{Node: d.i32(), SNS: d.i64(), Result: d.regVector()}
+			m.Saves[i] = SaveEntry{Node: d.i32(), SNS: d.i64(), Result: d.regVector(false)}
 		}
 	}
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -162,10 +163,15 @@ func streamSeed(frames ...[]byte) []byte {
 	return out
 }
 
-// FuzzDecoderStream: over any sequence of frames — good ones, and ones that
-// fail to decode in the middle — a Decoder returns exactly what the
-// stateless Unmarshal returns for each frame, whatever it has cached from
-// the frames before, and what it returned earlier stays as it was.
+// FuzzDecoderStream: over any sequence of frames — good ones, ones with
+// repeat markers, and ones that fail to decode in the middle — a Decoder
+// returns for a frame without a marker exactly what the stateless Unmarshal
+// returns, whatever it has cached from the frames before. For a frame with
+// markers it returns what Unmarshal returns for the frame with each marker
+// replaced by the payload cached at its position, or fails with
+// ErrStaleRepeat if some marker has no such payload or the cache is
+// distrusted since a failed frame. What it returned earlier stays as it
+// was.
 func FuzzDecoderStream(f *testing.F) {
 	// Seeds stay short — the fuzzer minimizes every input that reaches new
 	// code, and that takes time in proportion to its length: each sample
@@ -185,6 +191,12 @@ func FuzzDecoderStream(f *testing.F) {
 	c := Marshal(&Message{Type: TSave, Entry: reg[2], Saves: []SaveEntry{{Node: 1, SNS: 1, Result: reg}, {Node: 2, SNS: 1, Result: reg2}}})
 	f.Add(streamSeed(a, b, a[:len(a)/2], a, c, []byte{0xFF, 0xFF, 0xFF, 0xFF}, c, b, nil, a))
 	f.Add([]byte{})
+	// An Encoder's stream, with a failed frame after which its repeats are
+	// distrusted until a marker-free vector frame.
+	var enc Encoder
+	e, _ := encodeAll(&enc, &Message{Type: TWrite, Reg: reg}, &Message{Type: TWriteAck, Reg: reg2},
+		&Message{Type: TSnapshot, Reg: reg2}, &Message{Type: TWrite, Reg: reg})
+	f.Add(streamSeed(e[0], e[1], e[2][:5], e[2], a, e[3]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var d Decoder
@@ -199,11 +211,18 @@ func FuzzDecoderStream(f *testing.F) {
 			frame := data[:n]
 			data = data[n:]
 
-			want, wantErr := Unmarshal(frame)
+			expanded, markers, untrusted := expandRepeats(frame, d.prev, !d.stale)
+			want, wantErr := Unmarshal(expanded)
 			scratch := bytes.Clone(frame)
 			got, gotErr := d.Unmarshal(scratch)
 			for i := range scratch {
 				scratch[i] ^= 0xA5
+			}
+			if errors.Is(gotErr, ErrStaleRepeat) {
+				if !untrusted || got != nil {
+					t.Fatalf("ErrStaleRepeat on a frame with %d markers, all resolvable (message %+v)", markers, got)
+				}
+				continue
 			}
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 				t.Fatalf("error differs: Decoder %v, Unmarshal %v", gotErr, wantErr)

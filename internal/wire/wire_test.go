@@ -246,10 +246,12 @@ func TestSizeMatchesEncoding(t *testing.T) {
 	}
 }
 
+// TestAppendMarshal: an Encoder's first frame, with nothing cached yet, is
+// Marshal's encoding appended after whatever b held.
 func TestAppendMarshal(t *testing.T) {
 	m := sampleMessages()[4] // TGossip with tasks and saves
 	prefix := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	b := AppendMarshal(append([]byte(nil), prefix...), m)
+	b, _ := new(Encoder).AppendMarshal(append([]byte(nil), prefix...), m)
 	if !bytes.Equal(b[:4], prefix) {
 		t.Fatal("AppendMarshal clobbered the existing prefix")
 	}
@@ -258,7 +260,7 @@ func TestAppendMarshal(t *testing.T) {
 	}
 	// With exactly Size() spare capacity the append must not reallocate.
 	buf := make([]byte, 4, 4+m.Size())
-	out := AppendMarshal(buf, m)
+	out, _ := new(Encoder).AppendMarshal(buf, m)
 	if &out[0] != &buf[:1][0] {
 		t.Error("AppendMarshal reallocated despite sufficient capacity")
 	}
