@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -228,11 +229,23 @@ func checkE8(t *testing.T, tables []*Table) {
 }
 
 // checkE9: §5 for both bounded variants (Algorithms 1 and 3): resets
-// happen, values survive, the post-reset snapshot completes.
+// happen, values survive, the post-reset snapshot completes — and a reset
+// meets operations in flight: some row defers or aborts one, and the abort
+// policy's row is not the defer policy's.
 func checkE9(t *testing.T, tables []*Table) {
 	tab := tables[0]
 	if len(tab.Rows) != 3 {
 		t.Fatalf("want rows for SS-bounded(defer/abort) + SS-bounded-delta, got %d", len(tab.Rows))
+	}
+	if slices.Equal(tab.Rows[0][2:], tab.Rows[1][2:]) {
+		t.Errorf("the abort policy's row equals the defer policy's: %v", tab.Rows[1])
+	}
+	held := 0.0
+	for _, row := range tab.Rows {
+		held += cellFloat(t, row, 5) + cellFloat(t, row, 6)
+	}
+	if held == 0 {
+		t.Error("no row deferred or aborted an operation: no reset met an operation in flight")
 	}
 	for _, row := range tab.Rows {
 		if cellFloat(t, row, 3) < 1 {

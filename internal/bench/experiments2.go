@@ -213,6 +213,10 @@ func RunE9() []*Table {
 			cfg.MaxInt = 48
 			cfg.Delta = 2
 			cfg.AbortDuringReset = tc.abort
+			// Writes take virtual time only on delayed links: on
+			// instantaneous ones all of them finish before the overflow
+			// watcher's first tick, and no reset ever meets an operation.
+			cfg.Adversary = realisticDelay()
 			c := mustCluster(cfg)
 			defer c.Close()
 
