@@ -93,7 +93,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		interval = fs.Duration("interval", time.Second, "write period")
 		snapEach = fs.Duration("snapshot-every", 5*time.Second, "snapshot period (0 = never)")
 		inboxCap = fs.Int("inbox", 0, "bounded inbox capacity, drop-oldest on overflow (0 = default 4096)")
-		shards   = fs.Int("shards", 1, "parallel dispatch shards per node (1 = classic single dispatcher)")
 		objects  = fs.Int("objects", 1, "snapshot objects hosted on this node, multiplexed over one transport and one dispatcher")
 		obsAddr  = fs.String("obs", "", "observability HTTP address for /metrics, /statusz and pprof (empty = disabled)")
 	)
@@ -128,13 +127,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	journal := obs.NewJournal(0)
 	nd, err := core.NewNode(*id, tr, core.Config{
-		Algorithm:      alg,
-		Delta:          *delta,
-		Objects:        *objects,
-		LoopInterval:   50 * time.Millisecond,
-		RetxInterval:   200 * time.Millisecond,
-		DispatchShards: *shards,
-		Journal:        journal,
+		Algorithm:    alg,
+		Delta:        *delta,
+		Objects:      *objects,
+		LoopInterval: 50 * time.Millisecond,
+		RetxInterval: 200 * time.Millisecond,
+		Journal:      journal,
 	})
 	if err != nil {
 		return fmt.Errorf("%w: %v", errUsage, err)
@@ -142,6 +140,24 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	defer nd.Close()
 	rt := nd.Runtime()
 	registers := func(o int) []regSummary { return summarize(nd.Registers(o)) }
+	// localInvariant returns one bit per object (the first obsObjectCap),
+	// 1 while the object's local consistency invariant holds; nil for the
+	// algorithms without a self-stabilization contract.
+	localInvariant := func() []int {
+		var bits []int
+		for o := 0; o < nd.Objects() && o < obsObjectCap; o++ {
+			holds, ok := nd.LocalInvariant(o)
+			if !ok {
+				return nil
+			}
+			bit := 0
+			if holds {
+				bit = 1
+			}
+			bits = append(bits, bit)
+		}
+		return bits
+	}
 
 	// The node's δ, or -1 when the algorithm has none.
 	deltaValue := int64(-1)
@@ -165,12 +181,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				rt.OnDemandIterations())
 			fmt.Fprintf(w, "# TYPE selfstabsnap_journal_events_total counter\nselfstabsnap_journal_events_total %d\n",
 				journal.Total())
-			if depths, ack := rt.DispatchDepths(); depths != nil {
-				fmt.Fprintf(w, "# TYPE selfstabsnap_dispatch_queue_depth gauge\n")
-				for i, d := range depths {
-					fmt.Fprintf(w, "selfstabsnap_dispatch_queue_depth{lane=\"shard%d\"} %d\n", i, d)
+			if bits := localInvariant(); bits != nil {
+				fmt.Fprintf(w, "# TYPE selfstabsnap_local_invariant gauge\n")
+				for o, bit := range bits {
+					fmt.Fprintf(w, "selfstabsnap_local_invariant{obj=\"%d\"} %d\n", o, bit)
 				}
-				fmt.Fprintf(w, "selfstabsnap_dispatch_queue_depth{lane=\"ack\"} %d\n", ack)
 			}
 			fmt.Fprintf(w, "# TYPE selfstabsnap_objects_hosted gauge\nselfstabsnap_objects_hosted %d\n", nd.Objects())
 			if nd.Objects() > 1 {
@@ -197,13 +212,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 					perObject = append(perObject, objStatus{Obj: o, Registers: registers(o)})
 				}
 			}
-			shardDepths, ackDepth := rt.DispatchDepths()
 			return struct {
 				ID          int                `json:"id"`
 				Addr        string             `json:"addr"`
 				Algorithm   string             `json:"algorithm"`
 				N           int                `json:"n"`
-				Shards      int                `json:"dispatch_shards"`
 				Objects     int                `json:"objects"`
 				LoopCount   int64              `json:"loop_count"` // full iterations only
 				LoopKicks   int64              `json:"loop_kicks_total"`
@@ -211,9 +224,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				LastTick    time.Time          `json:"last_tick"`
 				Delta       int64              `json:"delta"` // -1 when the algorithm has none
 				Registers   []regSummary       `json:"registers"`
-				PerObject   []objStatus        `json:"per_object,omitempty"` // capped at obsObjectCap entries
-				ShardDepths []int              `json:"shard_queue_depths,omitempty"`
-				AckDepth    int                `json:"ack_queue_depth"`
+				PerObject   []objStatus        `json:"per_object,omitempty"`      // capped at obsObjectCap entries
+				LocalInv    []int              `json:"local_invariant,omitempty"` // per object, capped at obsObjectCap
 				EventCounts map[string]int64   `json:"event_counts"`
 				Recent      []obs.JournalEvent `json:"recent_events"`
 				WriteLat    string             `json:"write_latency"`
@@ -224,7 +236,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				Addr:        tr.Addr(),
 				Algorithm:   strings.ToLower(*algName),
 				N:           len(addrs),
-				Shards:      rt.DispatchShards(),
 				Objects:     nd.Objects(),
 				LoopCount:   rt.LoopCount(),
 				LoopKicks:   rt.LoopKicks(),
@@ -233,8 +244,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				Delta:       deltaValue,
 				Registers:   registers(0),
 				PerObject:   perObject,
-				ShardDepths: shardDepths,
-				AckDepth:    ackDepth,
+				LocalInv:    localInvariant(),
 				EventCounts: journal.Counts(),
 				Recent:      journal.Events(),
 				WriteLat:    writeLat.Stats().String(),

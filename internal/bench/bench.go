@@ -1,7 +1,6 @@
 // Package bench implements the paper-reproduction experiments E1–E10
-// catalogued in DESIGN.md and EXPERIMENTS.md, and three deterministic
-// models of the runtime (delta-gossip bandwidth, sharded dispatch,
-// multi-object hosting). Each experiment builds clusters via the public
+// catalogued in DESIGN.md and EXPERIMENTS.md, and a deterministic model
+// of delta-gossip bandwidth. Each experiment builds clusters via the public
 // core API on a virtual clock, drives a workload, meters traffic and emits
 // Tables whose rows correspond to the quantitative claims (message/bit
 // complexities, the δ trade-off, O(1)-cycle recovery, liveness contrasts)
@@ -77,8 +76,6 @@ func All() []Experiment {
 		{"E9", "§5 bounded counters: MAXINT wraparound and global reset", RunE9},
 		{"E10", "Crash tolerance and linearizability under adversary", RunE10},
 		{"deltagossip", "Delta gossip: idle bandwidth of full-vector vs ack-tracked gossip", RunDeltaGossip},
-		{"dispatch", "Sharded dispatch: mixed-workload throughput and tail latency", RunDispatch},
-		{"multiobject", "Multi-object hosting: aggregate throughput scaling and hot-object isolation", RunMultiObject},
 	}
 }
 

@@ -18,8 +18,8 @@ func cellFloat(t *testing.T, row []string, col int) float64 {
 
 func TestCatalogue(t *testing.T) {
 	all := All()
-	if len(all) != 13 { // E1–E10, deltagossip, dispatch, multiobject
-		t.Fatalf("catalogue has %d experiments, want 13", len(all))
+	if len(all) != 11 { // E1–E10, deltagossip
+		t.Fatalf("catalogue has %d experiments, want 11", len(all))
 	}
 	for _, e := range all {
 		if claims[e.ID] == nil {
@@ -53,11 +53,6 @@ var claims = map[string]func(t *testing.T, tables []*Table){
 	"E9":          checkE9,
 	"E10":         checkE10,
 	"deltagossip": checkDeltaGossip,
-	"dispatch":    checkDispatch,
-	"multiobject": func(t *testing.T, tables []*Table) {
-		checkMultiObjectScaling(t, tables)
-		checkMultiObjectIsolation(t, tables)
-	},
 }
 
 // pinned returns the tables of the pinned report of experiment id.
@@ -75,11 +70,6 @@ func TestE9(t *testing.T)  { checkE9(t, pinned(t, "E9")) }
 func TestE10(t *testing.T) { checkE10(t, pinned(t, "E10")) }
 
 func TestDeltaGossipReductionFloor(t *testing.T) { checkDeltaGossip(t, pinned(t, "deltagossip")) }
-func TestDispatchSpeedupFloor(t *testing.T)      { checkDispatch(t, pinned(t, "dispatch")) }
-func TestMultiObjectScalingFloor(t *testing.T)   { checkMultiObjectScaling(t, pinned(t, "multiobject")) }
-func TestMultiObjectIsolationFloor(t *testing.T) {
-	checkMultiObjectIsolation(t, pinned(t, "multiobject"))
-}
 
 // checkE1: Figure 1's property. Operation message counts match across the
 // DG baseline and the self-stabilizing variant; only gossip differs, by
@@ -281,48 +271,4 @@ func checkDeltaGossip(t *testing.T, tables []*Table) {
 			t.Errorf("n=%s ν=%s: reduction %vx, want ≥ 5x", row[0], row[1], r)
 		}
 	}
-}
-
-// checkDispatch: 4 shards move at least 3× the messages of the classic
-// single dispatcher, and cut the p99.9 sojourn time.
-func checkDispatch(t *testing.T, tables []*Table) {
-	base, four := shardRow(t, tables[0], "1"), shardRow(t, tables[0], "4")
-	if s := cellFloat(t, four, 6); s < 3 {
-		t.Errorf("speedup at 4 shards = %vx, want ≥ 3x", s)
-	}
-	if p4, p1 := cellFloat(t, four, 5), cellFloat(t, base, 5); p4 >= p1 {
-		t.Errorf("p99.9 did not improve: %vms (shards=4) vs %vms (shards=1)", p4, p1)
-	}
-}
-
-// checkMultiObjectScaling: at a 64-object mix, 8 shards move at least 3×
-// the messages of the single dispatcher.
-func checkMultiObjectScaling(t *testing.T, tables []*Table) {
-	if s := cellFloat(t, shardRow(t, tables[0], "8"), 7); s < 3 {
-		t.Errorf("speedup at 8 shards = %vx, want ≥ 3x", s)
-	}
-}
-
-// checkMultiObjectIsolation: saturating object 0 leaves the cold objects'
-// p99 within 2× of the quiet baseline, and every cold op completes.
-func checkMultiObjectIsolation(t *testing.T, tables []*Table) {
-	quiet, hot := tables[1].Rows[0], tables[1].Rows[1]
-	if quiet[3] != hot[3] {
-		t.Errorf("cold ops: quiet %s, hot %s", quiet[3], hot[3])
-	}
-	if d := cellFloat(t, hot, 5); d >= 2 {
-		t.Errorf("cold p99 degraded %vx under a hot neighbour, want < 2x", d)
-	}
-}
-
-// shardRow returns the row of tab whose first column is shards.
-func shardRow(t *testing.T, tab *Table, shards string) []string {
-	t.Helper()
-	for _, row := range tab.Rows {
-		if row[0] == shards {
-			return row
-		}
-	}
-	t.Fatalf("%s has no row for %s shards", tab.ID, shards)
-	return nil
 }

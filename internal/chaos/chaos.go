@@ -165,13 +165,6 @@ type Config struct {
 	// Hash computes Result.TraceHash and Result.HistoryHash. Only
 	// meaningful under Virtual, where event order is deterministic.
 	Hash bool
-
-	// DispatchShards is the per-node dispatch parallelism (default 1,
-	// the classic single dispatcher; see node.Options). Under Virtual
-	// the shard workers are ordinary scheduler tasks, so runs stay
-	// deterministic per (seed, shards) configuration — shards=1 and
-	// shards=4 replay identically to themselves, not to each other.
-	DispatchShards int
 }
 
 func (cfg Config) withDefaults() Config {
@@ -308,7 +301,6 @@ func run(cfg Config, clk simclock.Clock) (Result, error) {
 		Objects:          cfg.Objects,
 		LoopInterval:     time.Millisecond,
 		RetxInterval:     3 * time.Millisecond,
-		DispatchShards:   cfg.DispatchShards,
 		MaxInt:           cfg.MaxInt,
 		AbortDuringReset: cfg.AbortDuringReset,
 		Trace:            hook,

@@ -5,26 +5,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"testing"
 	"time"
 
 	"selfstabsnap/internal/core"
 	"selfstabsnap/internal/faults"
 )
-
-// chaosShards reads the CHAOS_SHARDS override — the CI determinism matrix
-// runs the suite once without it (shards=1) and once with CHAOS_SHARDS=4,
-// so every determinism and corpus test executes under sharded dispatch
-// too. 0 means "no override".
-func chaosShards() int {
-	if s := os.Getenv("CHAOS_SHARDS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return 0
-}
 
 // corpusEntry is one stored regression seed. The corpus collects runs that
 // were interesting at some point — crash-heavy, partition-heavy,
@@ -42,7 +28,6 @@ type corpusEntry struct {
 	AckCorrupt float64 `json:"ack_corrupt,omitempty"`
 	Corrupt    bool    `json:"corrupt,omitempty"`
 	Hostile    bool    `json:"hostile,omitempty"`
-	Shards     int     `json:"shards,omitempty"`  // dispatch shards (0 = classic single dispatcher)
 	Objects    int     `json:"objects,omitempty"` // hosted snapshot objects per node (0 = 1)
 	DurationMS int64   `json:"duration_ms"`
 
@@ -83,13 +68,9 @@ func (e corpusEntry) config() (Config, error) {
 		PartitionRate:  e.Partition,
 		AckCorruptRate: e.AckCorrupt,
 		Corrupt:        e.Corrupt,
-		DispatchShards: e.Shards,
 		Objects:        e.Objects,
 		Virtual:        true,
 		Hash:           true,
-	}
-	if s := chaosShards(); s > 0 {
-		cfg.DispatchShards = s
 	}
 	if e.Hostile {
 		cfg.Adversary = hostileNet()
@@ -132,9 +113,7 @@ var updateCorpus = flag.Bool("update", false, "rewrite the pinned digests in "+c
 // time makes a dozen full chaos schedules cheap enough to be PR-blocking.
 // Each run must reproduce its pinned trace and history digests, which makes
 // the corpus a byte-identity check on the whole execution: a refactor that
-// claims to change nothing must leave every digest as it was. Sharded
-// dispatch schedules differently, so the CHAOS_SHARDS leg checks the
-// invariants only.
+// claims to change nothing must leave every digest as it was.
 func TestSeedCorpus(t *testing.T) {
 	raw, err := os.ReadFile(corpusPath)
 	if err != nil {
@@ -146,10 +125,6 @@ func TestSeedCorpus(t *testing.T) {
 	}
 	if len(corpus) == 0 {
 		t.Fatal("corpus is empty")
-	}
-	checkDigests := chaosShards() == 0
-	if *updateCorpus && !checkDigests {
-		t.Fatal("-update needs CHAOS_SHARDS unset: the pinned digests are the unsharded runs'")
 	}
 	if *updateCorpus {
 		// Cleanup runs once every parallel subtest below has finished.
@@ -197,7 +172,7 @@ func TestSeedCorpus(t *testing.T) {
 			switch {
 			case *updateCorpus:
 				e.TraceHash, e.HistoryHash = trace, hist
-			case checkDigests && (trace != e.TraceHash || hist != e.HistoryHash):
+			case trace != e.TraceHash || hist != e.HistoryHash:
 				t.Errorf("digests moved: trace %s (pinned %s), history %s (pinned %s); re-pin with -update if intended",
 					trace, e.TraceHash, hist, e.HistoryHash)
 			}

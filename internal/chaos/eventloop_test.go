@@ -16,15 +16,13 @@ import (
 // the algorithms whose clients park work for the loop: a solo operation
 // waits for no tick, and however hard the clients kick, the full
 // iterations — the ones that gossip and count as cycles — keep the
-// LoopInterval cadence. Virtual time makes every bound exact; CHAOS_SHARDS
-// reruns them under sharded dispatch.
+// LoopInterval cadence. Virtual time makes every bound exact.
 
 var loopServedAlgorithms = []core.Algorithm{core.DeltaSS, core.AlwaysTerminatingDG}
 
 func eventLoopCluster(t *testing.T, v *simclock.Virtual, cfg core.Config) *core.Cluster {
 	t.Helper()
 	cfg.N, cfg.Delta, cfg.Seed, cfg.Clock = 5, 2, 21, v
-	cfg.DispatchShards = chaosShards()
 	c, err := core.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -34,44 +33,16 @@ func hostileConfig(seed int64) Config {
 		Duration:          600 * time.Millisecond,
 		Virtual:           true,
 		Hash:              true,
-		DispatchShards:    chaosShards(),
 	}
 }
 
 // TestVirtualRunDeterministicHostile pins the combined hostile mix to the
-// determinism contract: per seed, identical TraceHash/HistoryHash across
-// repeated runs, across GOMAXPROCS 1 and 4, at both shards=1 and shards=4
-// (each shard count to itself), with no history or bank violation. Every
-// new nemesis — WAN matrix draws, flap pulses, slowdown application,
+// determinism contract: identical TraceHash/HistoryHash across repeated
+// runs and across GOMAXPROCS 1 and 4, with no history or bank violation.
+// Every new nemesis — WAN matrix draws, flap pulses, slowdown application,
 // restart recovery merges, bank restores — sits on this path.
 func TestVirtualRunDeterministicHostile(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-
-	for _, shards := range []int{1, 4} {
-		var hashes [][2]uint64
-		for _, procs := range []int{1, 4} {
-			runtime.GOMAXPROCS(procs)
-			for rep := 0; rep < 2; rep++ {
-				cfg := hostileConfig(29)
-				cfg.DispatchShards = shards
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Violation != nil {
-					t.Fatalf("shards=%d: %v", shards, res.Violation)
-				}
-				hashes = append(hashes, [2]uint64{res.TraceHash, res.HistoryHash})
-			}
-		}
-		for _, h := range hashes[1:] {
-			if h != hashes[0] {
-				t.Errorf("shards=%d: hashes diverge across runs/GOMAXPROCS: %#x vs %#x",
-					shards, hashes[0], h)
-			}
-		}
-	}
+	assertReplaysAcrossGOMAXPROCS(t, hostileConfig(29))
 }
 
 // TestHostileNemesesFire checks the combined mix actually exercises every
@@ -283,12 +254,11 @@ func TestScheduleReplayHostileMinimized(t *testing.T) {
 	t.Parallel()
 	cfg := Config{
 		N: 5, Algorithm: core.DeltaSS, Delta: 2, Seed: 7,
-		Flapping:       &FlappingSpec{Count: 2, Period: 60 * time.Millisecond, Duty: 0.2},
-		CrashRate:      10,
-		Duration:       300 * time.Millisecond,
-		Virtual:        true,
-		Hash:           true,
-		DispatchShards: chaosShards(),
+		Flapping:  &FlappingSpec{Count: 2, Period: 60 * time.Millisecond, Duty: 0.2},
+		CrashRate: 10,
+		Duration:  300 * time.Millisecond,
+		Virtual:   true,
+		Hash:      true,
 	}
 	sched, err := GenSchedule(cfg)
 	if err != nil {

@@ -155,9 +155,6 @@ type Config struct {
 	// LoopInterval and RetxInterval tune the node runtimes.
 	LoopInterval time.Duration
 	RetxInterval time.Duration
-	// DispatchShards is the number of parallel dispatch workers per node
-	// (default 1 = the classic single dispatcher; see node.Options).
-	DispatchShards int
 	// Objects is the number of independent snapshot objects each node
 	// hosts, multiplexed over the one transport and dispatcher (default
 	// 1 — the paper's configuration). Every object is a full instance of
@@ -217,7 +214,9 @@ type Node struct {
 	objs []instance
 }
 
-// Cluster is a running group of nodes implementing one snapshot object.
+// Cluster is a running group of nodes, each hosting the same
+// Config.Objects snapshot objects (one by default) over a shared netsim
+// network.
 type Cluster struct {
 	cfg     Config
 	clk     simclock.Clock
@@ -306,7 +305,7 @@ func NewNode(id int, tr netsim.Transport, cfg Config) (*Node, error) {
 	}
 	ropts := node.Options{
 		LoopInterval: cfg.LoopInterval, RetxInterval: cfg.RetxInterval,
-		DispatchShards: cfg.DispatchShards, Clock: cfg.Clock, Journal: cfg.Journal,
+		Clock: cfg.Clock, Journal: cfg.Journal,
 	}
 	nd := &Node{alg: cfg.Algorithm, objs: make([]instance, cfg.Objects)}
 	for o := range nd.objs {
@@ -391,6 +390,18 @@ func (nd *Node) stabilizing(o int) bounded.Inner {
 	}
 	s, _ := nd.objs[o].(bounded.Inner)
 	return s
+}
+
+// LocalInvariant reports whether object o's local consistency invariant
+// (ts ≥ reg[i].ts, and Algorithm 3's task conditions) currently holds.
+// ok is false when the algorithm has no self-stabilization contract to
+// check (the Delporte-Gallet baselines and the stacked emulation).
+func (nd *Node) LocalInvariant(o int) (holds, ok bool) {
+	s := nd.stabilizing(o)
+	if s == nil {
+		return false, false
+	}
+	return s.LocalInvariantHolds(), true
 }
 
 // stabilizing returns node id's object o as the self-stabilizing surface

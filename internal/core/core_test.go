@@ -61,7 +61,8 @@ func TestNewNodeValidation(t *testing.T) {
 
 // TestNewNodeOverCallerTransport assembles every algorithm's nodes one at a
 // time over a transport the caller owns, as a process-per-node deployment
-// does, and reads the written register back through Node.Registers.
+// does, reads the written register back through Node.Registers and the
+// local invariant through Node.LocalInvariant.
 func TestNewNodeOverCallerTransport(t *testing.T) {
 	for _, alg := range allAlgorithms() {
 		t.Run(alg.String(), func(t *testing.T) {
@@ -88,6 +89,11 @@ func TestNewNodeOverCallerTransport(t *testing.T) {
 			}
 			if reg := nodes[0].Registers(0); len(reg) != 3 || string(reg[0].Val) != "v" {
 				t.Errorf("writer's registers = %v", reg)
+			}
+			// The /statusz and /metrics invariant bit: reported, and set,
+			// exactly for the self-stabilizing algorithms.
+			if holds, ok := nodes[0].LocalInvariant(0); ok != alg.SelfStabilizing() || ok && !holds {
+				t.Errorf("LocalInvariant = (%v, %v), want (true, %v)", holds, ok, alg.SelfStabilizing())
 			}
 		})
 	}

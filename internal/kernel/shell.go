@@ -177,20 +177,6 @@ func (s *Shell) HandleMessage(m *wire.Message) {
 	}
 }
 
-// Route implements node.Router for sharded dispatch. The acks are consumed
-// only by quorum-call acceptance predicates, so they take the dedicated ack
-// lane. Everything else shards by the sending node: register k is written
-// only by node k, so per-sender FIFO is per-register FIFO, the ack table
-// keyed by peer stays ordered per peer, and the task merges are monotone,
-// so cross-sender interleavings are legal network reorderings.
-func (s *Shell) Route(m *wire.Message) (node.Lane, int) {
-	switch m.Type {
-	case wire.TWriteAck, wire.TSnapshotAck, wire.TSaveAck:
-		return node.LaneAck, 0
-	}
-	return node.LaneShard, int(m.From)
-}
-
 // locked runs f under mu.
 func locked[T any](mu *sync.Mutex, f func() T) T {
 	mu.Lock()

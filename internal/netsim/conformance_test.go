@@ -37,8 +37,7 @@ func TestSendManyEquivalenceConformance(t *testing.T) {
 }
 
 // TestPerPeerFIFOConformance pins per-peer delivery ordering on the
-// simulator — the discipline the sharded runtime's per-sender shard keys
-// rely on.
+// simulator — the discipline the dispatcher's per-sender FIFO relies on.
 func TestPerPeerFIFOConformance(t *testing.T) {
 	n := netsim.New(netsim.Config{N: 4, Seed: 1, InboxCap: 4096})
 	defer n.Close()

@@ -36,35 +36,6 @@ func (c *call) offer(m *wire.Message) {
 	<-c.mu
 }
 
-// offerBatch is offer amortised over a burst: the semaphore is taken at
-// most once for the whole batch (lazily, on the first accepted message)
-// and notify fires once afterwards. Semantically identical to calling
-// offer per message — notify is a sticky signal, so coalescing the
-// wake-ups loses nothing, and acceptance predicates take no locks (see
-// CallOpts.Accept), so running them under the semaphore cannot deadlock.
-func (c *call) offerBatch(ms []*wire.Message) {
-	locked := false
-	for _, m := range ms {
-		if m.Obj != c.obj || !c.accept(m) {
-			continue
-		}
-		if !locked {
-			c.mu <- struct{}{}
-			locked = true
-		}
-		if _, dup := c.senders[m.From]; !dup {
-			c.senders[m.From] = struct{}{}
-			// Same ShallowClone contract as offer: private envelope,
-			// shared immutable payload.
-			c.msgs = append(c.msgs, m.ShallowClone())
-		}
-	}
-	if locked {
-		<-c.mu
-		c.notify.Set()
-	}
-}
-
 func (c *call) snapshot() (int, []*wire.Message) {
 	c.mu <- struct{}{}
 	n := len(c.senders)
@@ -83,17 +54,6 @@ func (r *Runtime) offer(m *wire.Message) {
 	if calls := r.collector.active.Load(); calls != nil {
 		for _, c := range *calls {
 			c.offer(m)
-		}
-	}
-}
-
-// offerBatch routes a burst of quorum-ack messages to every registered
-// call with one atomic load of the active-call list and at most one lock
-// acquisition per call (the ack lane's drain path).
-func (r *Runtime) offerBatch(ms []*wire.Message) {
-	if calls := r.collector.active.Load(); calls != nil {
-		for _, c := range *calls {
-			c.offerBatch(ms)
 		}
 	}
 }

@@ -29,22 +29,15 @@
 // predicates run on the dispatcher goroutine and must only touch data
 // captured immutably at call time.
 //
-// With Options.DispatchShards > 1 the single dispatcher is replaced by a
-// router plus a pool of shard workers and a dedicated quorum-ack lane (see
-// shard.go): HandleMessage then runs concurrently for messages on different
-// shards, but stays FIFO per shard key — which the algorithms choose so each
-// register's updates stay ordered (§2 only requires that steps admit a
-// serialization, which the history checker verifies).
-//
 // A Runtime can host many independent algorithm instances — one snapshot
-// object each — multiplexed over the one transport, dispatcher and
-// quorum-ack lane (see objview.go): messages carry a wire-level object id,
-// the dispatcher indexes the object table with it (bounds-guarded: a
-// corrupted id is metered and dropped, never indexed), and sharded
-// dispatch keys shards by (object, sender) so per-register FIFO holds per
-// object while independent objects ride different shard workers in
-// parallel. Single-object runtimes are the len(objs)==1 special case of
-// the same code path, with every message carrying object id 0.
+// object each — multiplexed over the one transport and dispatcher (see
+// objview.go): messages carry a wire-level object id, and the dispatcher
+// indexes the object table with it (bounds-guarded: a corrupted id is
+// metered and dropped, never indexed). The objects share one FIFO inbox,
+// so a hot object's backlog delays a cold object's messages, bounded only
+// by the inbox's drop-oldest capacity. Single-object runtimes are the
+// len(objs)==1 special case of the same code path, with every message
+// carrying object id 0.
 package node
 
 import (
@@ -54,7 +47,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"selfstabsnap/internal/mailbox"
 	"selfstabsnap/internal/metrics"
 	"selfstabsnap/internal/netsim"
 	"selfstabsnap/internal/obs"
@@ -108,18 +100,6 @@ type Options struct {
 	// algorithm reports via RecordEvent (corruption detections, resets,
 	// detectable restarts) for the /statusz observability endpoint.
 	Journal *obs.Journal
-	// DispatchShards is the number of parallel dispatch workers. The
-	// default (and any value ≤ 1) keeps the classic single-dispatcher
-	// path: one goroutine, globally FIFO. Values > 1 enable sharded
-	// dispatch: a router fans arriving messages out to DispatchShards
-	// workers by the algorithm's shard key (per-key FIFO preserved) plus
-	// a dedicated quorum-ack lane. Capped at MaxDispatchShards.
-	DispatchShards int
-	// ShardQueueCap bounds each shard lane's per-object queue under
-	// sharded dispatch (default 4096). Overflow drops the oldest queued
-	// message — the same bounded-channel semantics as the transport inbox
-	// — and is metered as an eviction.
-	ShardQueueCap int
 	// Attach, when non-nil, makes Bind join this existing host runtime as
 	// its next object instead of constructing a fresh single-object
 	// runtime; the host's tuning fields govern and the rest of this
@@ -128,13 +108,8 @@ type Options struct {
 	Attach *Runtime
 }
 
-// MaxDispatchShards bounds Options.DispatchShards; beyond this the router
-// itself becomes the bottleneck.
-const MaxDispatchShards = 64
-
 // MaxObjects bounds how many algorithm instances one Runtime may host. It
-// also bounds the object-id range the dispatcher will accept off the wire,
-// and keeps the per-shard per-object ring bookkeeping finite.
+// also bounds the object-id range the dispatcher will accept off the wire.
 const MaxObjects = 4096
 
 func (o Options) withDefaults() Options {
@@ -143,15 +118,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetxInterval <= 0 {
 		o.RetxInterval = 5 * time.Millisecond
-	}
-	if o.DispatchShards < 1 {
-		o.DispatchShards = 1
-	}
-	if o.DispatchShards > MaxDispatchShards {
-		o.DispatchShards = MaxDispatchShards
-	}
-	if o.ShardQueueCap <= 0 {
-		o.ShardQueueCap = 4096
 	}
 	o.Clock = simclock.Or(o.Clock)
 	return o
@@ -164,10 +130,9 @@ type Runtime struct {
 	tr   netsim.Transport
 	opts Options
 
-	// objs is the object table: one hosted algorithm instance (plus its
-	// resolved optional Router) per object id. Built by AddObject before
-	// Start, immutable afterwards — the dispatcher goroutines read it
-	// without synchronisation.
+	// objs is the object table: one hosted algorithm instance per object
+	// id. Built by AddObject before Start, immutable afterwards — the
+	// dispatcher and loop goroutines read it without synchronisation.
 	objs    []objSlot
 	started atomic.Bool
 
@@ -207,21 +172,13 @@ type Runtime struct {
 	many   netsim.ManySender
 	allTo  []int // 0..n-1: broadcast includes the sender
 	peerTo []int // 0..n-1 minus self: gossip excludes the sender
-
-	// Sharded dispatch state (nil/empty when DispatchShards == 1; see
-	// shard.go). Built in Start, once the object count is known: each
-	// shard lane is a fair per-object queue so a saturated object's
-	// backlog cannot head-of-line-block colder objects on the same shard.
-	shardQ []*fairLane
-	ackQ   *mailbox.Queue[*wire.Message]
 }
 
 // objSlot is one hosted object: its algorithm, the algorithm's optional
-// Router and OnDemand, resolved once at registration, and the view that
-// carries the object's wake-up state.
+// OnDemand, resolved once at registration, and the view that carries the
+// object's wake-up state.
 type objSlot struct {
 	alg      Algorithm
-	router   Router
 	onDemand OnDemand
 	view     *ObjView
 }
@@ -278,10 +235,9 @@ func (r *Runtime) AddObject(alg Algorithm) *ObjView {
 	if len(r.objs) >= MaxObjects {
 		panic(fmt.Sprintf("node: more than MaxObjects=%d objects", MaxObjects))
 	}
-	router, _ := alg.(Router)
 	onDemand, _ := alg.(OnDemand)
 	v := &ObjView{Runtime: r, obj: int32(len(r.objs)), done: r.clk.NewSignal()}
-	r.objs = append(r.objs, objSlot{alg: alg, router: router, onDemand: onDemand, view: v})
+	r.objs = append(r.objs, objSlot{alg: alg, onDemand: onDemand, view: v})
 	return v
 }
 
@@ -346,11 +302,9 @@ func (r *Runtime) RecordEvent(kind, detail string) {
 	r.opts.Journal.Record(r.clk.Now(), r.id, kind, detail)
 }
 
-// Start launches the dispatcher and do-forever goroutines. With
-// DispatchShards > 1 the dispatcher is a router plus a worker per shard and
-// a dedicated quorum-ack lane (see shard.go). Start is idempotent: a
-// multi-object runtime is started through whichever hosted algorithm's
-// Start runs first, and the rest are no-ops.
+// Start launches the dispatcher and do-forever goroutines. Start is
+// idempotent: a multi-object runtime is started through whichever hosted
+// algorithm's Start runs first, and the rest are no-ops.
 func (r *Runtime) Start() {
 	if r.started.Swap(true) {
 		return
@@ -358,27 +312,8 @@ func (r *Runtime) Start() {
 	if len(r.objs) == 0 {
 		panic("node: Start with no objects attached")
 	}
-	if r.opts.DispatchShards <= 1 {
-		r.wg.Add(2)
-		r.clk.Go(fmt.Sprintf("node%d-dispatch", r.id), r.dispatch)
-		r.clk.Go(fmt.Sprintf("node%d-loop", r.id), r.loop)
-		return
-	}
-	// Shard lanes are built here rather than at construction: each lane
-	// holds one bounded ring per object, and the object count is only
-	// final at Start.
-	r.shardQ = make([]*fairLane, r.opts.DispatchShards)
-	for i := range r.shardQ {
-		r.shardQ[i] = newFairLane(r.clk, len(r.objs), r.opts.ShardQueueCap)
-	}
-	r.ackQ = mailbox.NewClocked[*wire.Message](r.clk, r.opts.ShardQueueCap)
-	r.wg.Add(3 + len(r.shardQ))
-	r.clk.Go(fmt.Sprintf("node%d-route", r.id), r.routeLoop)
-	for i := range r.shardQ {
-		q := r.shardQ[i]
-		r.clk.Go(fmt.Sprintf("node%d-shard%d", r.id, i), func() { r.shardLoop(q) })
-	}
-	r.clk.Go(fmt.Sprintf("node%d-acks", r.id), r.ackLoop)
+	r.wg.Add(2)
+	r.clk.Go(fmt.Sprintf("node%d-dispatch", r.id), r.dispatch)
 	r.clk.Go(fmt.Sprintf("node%d-loop", r.id), r.loop)
 }
 
@@ -397,7 +332,7 @@ func (r *Runtime) Close() {
 		r.crashEv.Fire()
 	}
 	r.mu.Unlock()
-	r.tr.CloseEndpoint(r.id) // unblock the dispatcher's (or router's) Recv
+	r.tr.CloseEndpoint(r.id) // unblock the dispatcher's Recv
 	r.wg.Wait()
 }
 

@@ -184,20 +184,6 @@ func (nd *Node) HandleMessage(m *wire.Message) {
 	}
 }
 
-// Route implements node.Router for sharded dispatch. All three ack types
-// of the ABD emulation are consumed only by quorum-call acceptance
-// predicates (HandleMessage above ignores them), so they take the
-// dedicated ack lane. Server requests shard by the sending node, which
-// keeps each writer's TUpdate stream — and so each emulated register's
-// update order — FIFO within its shard.
-func (nd *Node) Route(m *wire.Message) (node.Lane, int) {
-	switch m.Type {
-	case wire.TUpdateAck, wire.TCollectAck, wire.TWriteBackAck:
-		return node.LaneAck, 0
-	}
-	return node.LaneShard, int(m.From)
-}
-
 // State is a copy of the node's variables.
 type State struct {
 	TS  int64

@@ -291,7 +291,7 @@ func ConcurrentFanout(t *testing.T, sender netsim.Transport, endpoint func(id in
 	SweepFrozen(t)
 }
 
-// PerPeerFIFO pins the per-peer frame ordering the sharded runtime's
+// PerPeerFIFO pins the per-peer frame ordering the runtime's
 // atomic-step discipline depends on: `count` sequence-numbered messages
 // from one sender must arrive at every recipient exactly once, in send
 // order, with no losses on a healthy link — even when the send side

@@ -9,7 +9,9 @@
 #      `name[{labels}] value`) and contains the per-type message counters
 #      and the do-forever loop's counters; the writer's operations kicked
 #      the loop (the cluster runs Algorithm 3, whose clients go through it);
-#   2. /statusz is JSON carrying the node id, algorithm and loop counters;
+#      and the node's local-invariant bit is 1;
+#   2. /statusz is JSON carrying the node id, algorithm, loop counters and
+#      the same local-invariant bit;
 #   3. /debug/pprof/ answers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -80,6 +82,11 @@ for series in selfstabsnap_loop_kicks_total selfstabsnap_loop_on_demand_iteratio
     || fail "$series is 0 on the writing node"
 done
 
+# A live, uncorrupted ss-delta node is stabilized: its one object's local
+# invariant holds.
+grep -qxF 'selfstabsnap_local_invariant{obj="0"} 1' "$WORK/metrics.txt" \
+  || fail "selfstabsnap_local_invariant{obj=\"0\"} is not 1"
+
 echo "== scraping /statusz"
 curl -sf "http://127.0.0.1:$OBS_BASE/statusz" >"$WORK/status.json" || fail "/statusz unreachable"
 head -c1 "$WORK/status.json" | grep -q '{' || fail "/statusz does not start with '{'"
@@ -87,6 +94,9 @@ grep -q '"algorithm": "ss-delta"' "$WORK/status.json" || fail "statusz missing a
 for field in loop_count loop_kicks_total loop_on_demand_iterations_total; do
   grep -q "\"$field\"" "$WORK/status.json" || fail "statusz missing $field"
 done
+
+tr -d ' \n' <"$WORK/status.json" | grep -qF '"local_invariant":[1]' \
+  || fail "statusz local_invariant is not [1]"
 
 echo "== checking pprof"
 curl -sf "http://127.0.0.1:$OBS_BASE/debug/pprof/" >/dev/null || fail "pprof index unreachable"
