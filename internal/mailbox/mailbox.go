@@ -120,8 +120,8 @@ func (q *Queue[T]) Pop() (T, bool) {
 // TryPop dequeues the oldest element without blocking. ok is false when
 // the queue is currently empty (regardless of closed state). Consumers use
 // it to coalesce a burst — one blocking Pop, then TryPop until dry — so a
-// drain cycle pays one wakeup for many elements (the vectored-write and
-// ack-batching hot paths).
+// drain cycle pays one wakeup for many elements (tcpnet's vectored
+// writer).
 func (q *Queue[T]) TryPop() (T, bool) {
 	q.mu.Lock()
 	if q.count == 0 {
