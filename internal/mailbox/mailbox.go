@@ -12,6 +12,11 @@
 // same code bounds message inboxes (*wire.Message) and encoded frame
 // outboxes ([]byte).
 //
+// Every queue has exactly one consumer: a transport inbox is drained by its
+// node's dispatcher, a tcpnet outbox by its peer's writer. Any number of
+// goroutines may Push. The single consumer only parks on an empty queue, so
+// Push wakes it only when the queue goes from empty to non-empty.
+//
 // Pop blocks through a simclock.Clock rather than a sync.Cond, so a queue
 // built on a virtual clock parks its consumer as a schedulable task inside
 // the deterministic simulation. The signal is sticky (a Set before the
@@ -28,7 +33,8 @@ import (
 
 // Queue is a bounded FIFO with blocking receive. When full, the oldest
 // element is discarded. The zero value is not usable; construct with New
-// or NewClocked. All methods are safe for concurrent use.
+// or NewClocked. All methods are safe for concurrent use, but Pop and
+// TryPop have one consumer goroutine per queue (see the package doc).
 type Queue[T any] struct {
 	clk    simclock.Clock
 	avail  simclock.Signal
@@ -70,6 +76,7 @@ func (q *Queue[T]) Push(v T) (evicted bool) {
 		q.mu.Unlock()
 		return false
 	}
+	wake := q.count == 0
 	if q.count == len(q.buf) {
 		var zero T
 		q.buf[q.head] = zero
@@ -81,7 +88,11 @@ func (q *Queue[T]) Push(v T) (evicted bool) {
 	q.buf[(q.head+q.count)%len(q.buf)] = v
 	q.count++
 	q.mu.Unlock()
-	q.avail.Set()
+	if wake {
+		// The consumer parks only on an empty queue; a Push onto a
+		// non-empty one finds it awake or already signalled.
+		q.avail.Set()
+	}
 	return evicted
 }
 
@@ -96,20 +107,13 @@ func (q *Queue[T]) Pop() (T, bool) {
 			q.buf[q.head] = zero
 			q.head = (q.head + 1) % len(q.buf)
 			q.count--
-			more := q.count > 0
-			closed := q.closed
 			q.mu.Unlock()
-			if more || closed {
-				// Signal consumption is wake-one: re-arm for the next
-				// consumer so multi-consumer drains stay live.
-				q.avail.Set()
-			}
 			return v, true
 		}
 		if q.closed {
 			var zero T
 			q.mu.Unlock()
-			q.avail.Set() // propagate the close wake-up to other consumers
+			q.avail.Set() // keep the close wake-up for the next Pop
 			return zero, false
 		}
 		q.mu.Unlock()
@@ -118,10 +122,10 @@ func (q *Queue[T]) Pop() (T, bool) {
 }
 
 // TryPop dequeues the oldest element without blocking. ok is false when
-// the queue is currently empty (regardless of closed state). Consumers use
-// it to coalesce a burst — one blocking Pop, then TryPop until dry — so a
-// drain cycle pays one wakeup for many elements (tcpnet's vectored
-// writer).
+// the queue is currently empty (regardless of closed state). It is for the
+// queue's one consumer, like Pop: that consumer coalesces a burst — one
+// blocking Pop, then TryPop until dry — so a drain cycle pays one wakeup
+// for many elements (tcpnet's vectored writer).
 func (q *Queue[T]) TryPop() (T, bool) {
 	q.mu.Lock()
 	if q.count == 0 {
@@ -134,13 +138,7 @@ func (q *Queue[T]) TryPop() (T, bool) {
 	q.buf[q.head] = zero
 	q.head = (q.head + 1) % len(q.buf)
 	q.count--
-	more := q.count > 0
-	closed := q.closed
 	q.mu.Unlock()
-	if more || closed {
-		// Same wake-one re-arm as Pop: keep other consumers live.
-		q.avail.Set()
-	}
 	return v, true
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"selfstabsnap/internal/simclock"
 	"selfstabsnap/internal/wire"
 )
 
@@ -22,6 +23,35 @@ func TestFIFO(t *testing.T) {
 		if !ok || m.SSN != i {
 			t.Fatalf("pop %d = %v ok=%v", i, m, ok)
 		}
+	}
+}
+
+// TestPushSignalsOnlyWhenEmpty: the one consumer parks only on an empty
+// queue, so only the Push that makes the queue non-empty signals it; a Push
+// onto a non-empty queue, evicting or not, leaves the signal unset.
+func TestPushSignalsOnlyWhenEmpty(t *testing.T) {
+	clk := simclock.Real()
+	q := NewClocked[*wire.Message](clk, 2)
+	q.Push(msg(1))
+	if !clk.Poll(q.avail) {
+		t.Fatal("a Push onto an empty queue did not signal")
+	}
+	q.Push(msg(2))
+	if clk.Poll(q.avail) {
+		t.Error("a Push onto a non-empty queue signalled")
+	}
+	if !q.Push(msg(3)) || clk.Poll(q.avail) {
+		t.Error("an evicting Push onto a full queue signalled")
+	}
+	for q.Len() > 0 {
+		q.TryPop()
+	}
+	if clk.Poll(q.avail) {
+		t.Error("draining the queue left the signal set")
+	}
+	q.Push(msg(4))
+	if !clk.Poll(q.avail) {
+		t.Fatal("a Push onto a queue drained empty did not signal")
 	}
 }
 

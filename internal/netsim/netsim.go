@@ -204,22 +204,22 @@ type Network struct {
 	inboxes  []*mailbox.Queue[*wire.Message]
 	counters metrics.Counters
 
-	mu      sync.Mutex
-	blocked map[[2]int]bool // directed partition cuts
-	seq     uint64
-	closed  bool
+	// A send takes no network-wide lock: closed and seq are atomics, and
+	// the directed partition cuts, like the topology, are published
+	// copy-on-write. Concurrent senders contend on rngMu alone (not at all
+	// on links whose profile is inactive).
+	closed atomic.Bool
+	seq    atomic.Uint64
+	rngMu  sync.Mutex
+	rng    *rand.Rand
 
-	// The adversary's RNG has its own lock so random draws never extend the
-	// global critical section: n.mu is held only for the blocked/seq/closed
-	// check, and concurrent senders contend on rngMu alone (not at all on
-	// links whose profile is inactive).
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	// Link profiles and per-node slowdowns, published copy-on-write so the
-	// send hot path reads them with one atomic load; never nil after New.
-	topoMu sync.Mutex // serializes topology updates
+	// Link profiles and per-node slowdowns, and the cut links (an N×N
+	// matrix indexed from*N+to, nil when no link is cut), published
+	// copy-on-write so the send hot path reads them with one atomic load
+	// each; topo is never nil after New.
+	topoMu sync.Mutex // serializes topology and cut updates
 	topo   atomic.Pointer[topology]
+	cuts   atomic.Pointer[[]bool]
 
 	// Delayed-delivery scheduler: one goroutine per network drains a
 	// min-heap of pending packets (see scheduler.go).
@@ -251,13 +251,12 @@ func New(cfg Config) *Network {
 	}
 	clk := simclock.Or(cfg.Clock)
 	n := &Network{
-		cfg:     cfg,
-		clk:     clk,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		blocked: make(map[[2]int]bool),
-		wake:    clk.NewSignal(),
-		done:    clk.NewEvent(),
-		loopWg:  clk.NewGroup(),
+		cfg:    cfg,
+		clk:    clk,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		wake:   clk.NewSignal(),
+		done:   clk.NewEvent(),
+		loopWg: clk.NewGroup(),
 	}
 	n.waitIdle = []simclock.Waitable{n.done, n.wake}
 	n.topo.Store(&topology{links: links})
@@ -276,23 +275,25 @@ func (n *Network) N() int { return n.cfg.N }
 // Counters exposes the traffic meters.
 func (n *Network) Counters() *metrics.Counters { return &n.counters }
 
-// admit checks closed/blocked state and allocates a transport sequence
-// number for one (from, to) transmission. It holds n.mu only for that — no
-// RNG draws, no cloning, no metering happens under the global lock.
+// admit checks closed/cut state and allocates a transport sequence number
+// for one (from, to) transmission; to is in range.
 func (n *Network) admit(from, to int) (seq uint64, ok bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed || n.blocked[[2]int{from, to}] {
+	if n.closed.Load() || n.isCut(from, to) {
 		return 0, false
 	}
-	n.seq++
-	return n.seq, true
+	return n.seq.Add(1), true
+}
+
+// isCut reports whether the directed link from→to is cut; to is in range.
+func (n *Network) isCut(from, to int) bool {
+	c := n.cuts.Load()
+	return c != nil && from >= 0 && from < n.cfg.N && (*c)[from*n.cfg.N+to]
 }
 
 // drawFor samples one transmission's fate on the directed link from→to: how
 // many copies arrive (0 = dropped, 2 = duplicated) and each copy's delivery
 // delay. An inactive profile never consults the RNG, so concurrent senders
-// on perfect links synchronize only on admit's short critical section. A
+// on perfect links take no lock at all (admit's sequence counter is atomic). A
 // bandwidth bound adds a size-proportional serialization delay, and the
 // endpoints' slowdown factors inflate every copy's delay multiplicatively.
 // delays has room for the duplicated copy; only delays[:copies] is
@@ -465,10 +466,7 @@ func (n *Network) SendMany(from int, to []int, m *wire.Message) {
 }
 
 func (n *Network) deliver(from, to int, m *wire.Message) {
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
+	if n.closed.Load() {
 		return
 	}
 	if n.inboxes[to].Push(m) {
@@ -498,25 +496,45 @@ func (n *Network) DrainInbox(id int) { n.inboxes[id].Drain() }
 
 // SetCut blocks (or unblocks) the directed link from → to. Cutting both
 // directions of every link between two node sets partitions the network.
+// Links with an endpoint outside [0, N) carry no traffic and are ignored.
 func (n *Network) SetCut(from, to int, cut bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if cut {
-		n.blocked[[2]int{from, to}] = true
-	} else {
-		delete(n.blocked, [2]int{from, to})
+	if from < 0 || from >= n.cfg.N || to < 0 || to >= n.cfg.N {
+		return
 	}
+	n.updateCuts(func(c []bool) { c[from*n.cfg.N+to] = cut })
 }
 
 // Isolate cuts all links to and from node id (both directions).
 func (n *Network) Isolate(id int, isolated bool) {
-	for k := 0; k < n.cfg.N; k++ {
-		if k == id {
-			continue
-		}
-		n.SetCut(id, k, isolated)
-		n.SetCut(k, id, isolated)
+	if id < 0 || id >= n.cfg.N {
+		return
 	}
+	n.updateCuts(func(c []bool) {
+		for k := 0; k < n.cfg.N; k++ {
+			if k != id {
+				c[id*n.cfg.N+k] = isolated
+				c[k*n.cfg.N+id] = isolated
+			}
+		}
+	})
+}
+
+// updateCuts publishes a copy of the cut matrix with set applied.
+func (n *Network) updateCuts(set func(c []bool)) {
+	n.topoMu.Lock()
+	defer n.topoMu.Unlock()
+	c := make([]bool, n.cfg.N*n.cfg.N)
+	if cur := n.cuts.Load(); cur != nil {
+		copy(c, *cur)
+	}
+	set(c)
+	for _, b := range c {
+		if b {
+			n.cuts.Store(&c)
+			return
+		}
+	}
+	n.cuts.Store(nil)
 }
 
 // Close shuts the network down and unblocks all receivers. It returns
@@ -524,13 +542,9 @@ func (n *Network) Isolate(id int, isolated bool) {
 // discarded, exactly as a closed network would have discarded them on
 // arrival.
 func (n *Network) Close() {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	if n.closed.Swap(true) {
 		return
 	}
-	n.closed = true
-	n.mu.Unlock()
 	n.done.Fire()
 	n.loopWg.Wait()
 	for _, q := range n.inboxes {

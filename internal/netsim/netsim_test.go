@@ -313,3 +313,43 @@ func TestConcurrentSendRecv(t *testing.T) {
 		t.Errorf("delivered %d, want %d", total, 4*per)
 	}
 }
+
+// TestCutsChangeUnderConcurrentSendMany: cuts are published copy-on-write
+// and read by sends without a lock. Under -race, SetCut and Isolate churn
+// while SendMany fans out; a link cut for the whole run still delivers
+// nothing, and the churned links deliver once restored.
+func TestCutsChangeUnderConcurrentSendMany(t *testing.T) {
+	n := New(Config{N: 4, Seed: 1, InboxCap: 1 << 16})
+	defer n.Close()
+	n.SetCut(0, 1, true)
+
+	const rounds = 2000
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			n.SendMany(0, []int{1, 2, 3}, msg(wire.TGossip))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			n.SetCut(0, 2, i%2 == 0)
+			n.Isolate(3, i%3 == 0)
+		}
+		n.SetCut(0, 2, false)
+		n.Isolate(3, false)
+	}()
+	wg.Wait()
+
+	if q := n.QueueLen(1); q != 0 {
+		t.Fatalf("the cut link 0→1 delivered %d messages", q)
+	}
+	before2, before3 := n.QueueLen(2), n.QueueLen(3)
+	n.SendMany(0, []int{1, 2, 3}, msg(wire.TGossip))
+	if n.QueueLen(1) != 0 || n.QueueLen(2) != before2+1 || n.QueueLen(3) != before3+1 {
+		t.Errorf("after the churn: queues 1/2/3 = %d/%d/%d, want 0/%d/%d",
+			n.QueueLen(1), n.QueueLen(2), n.QueueLen(3), before2+1, before3+1)
+	}
+}

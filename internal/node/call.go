@@ -1,6 +1,8 @@
 package node
 
 import (
+	"sync"
+
 	"selfstabsnap/internal/simclock"
 	"selfstabsnap/internal/wire"
 )
@@ -8,41 +10,76 @@ import (
 // call is one in-flight quorum interaction: a broadcast retransmitted until
 // enough distinct nodes acknowledge.
 type call struct {
-	id      uint64
-	obj     int32 // object the call is scoped to; only same-object acks match
-	accept  func(*wire.Message) bool
-	mu      chan struct{} // 1-buffered semaphore guarding senders/msgs
-	senders map[int32]struct{}
+	id       uint64
+	obj      int32 // object the call is scoped to; only same-object acks match
+	accept   func(*wire.Message) bool
+	quorum   int
+	wakeEach bool // CallOpts.Stop is set: it is re-checked after every ack
+	notify   simclock.Signal
+
+	mu      sync.Mutex // guards the fields below
+	senders []bool     // indexed by node id; len is the cluster size
 	msgs    []*wire.Message
-	notify  simclock.Signal
+	taken   bool // the caller holds its Rec set; later acks are dropped
 }
 
+func newCall(obj int32, n, quorum int, accept func(*wire.Message) bool, wakeEach bool, notify simclock.Signal) *call {
+	return &call{
+		obj:      obj,
+		accept:   accept,
+		quorum:   quorum,
+		wakeEach: wakeEach,
+		notify:   notify,
+		senders:  make([]bool, n),
+		msgs:     make([]*wire.Message, 0, n),
+	}
+}
+
+// offer keeps m if it is an ack from a node not yet counted, and wakes the
+// caller when the quorum is reached (or on every kept ack when Stop must be
+// re-checked). A From outside [0, n) names no node and is not counted.
 func (c *call) offer(m *wire.Message) {
 	if m.Obj != c.obj || !c.accept(m) {
 		return
 	}
-	c.mu <- struct{}{}
-	if _, dup := c.senders[m.From]; !dup {
-		c.senders[m.From] = struct{}{}
-		// Shallow clone: one arriving message may be accepted by several
-		// concurrent calls (and is also handed to the algorithm's handler).
-		// Each call gets a private envelope, but the payload slices — the
-		// O(n·ν) Reg vector of an ack — are shared: arriving messages are
-		// immutable by the transport contract, and the algorithms' merge
-		// paths only read Rec payloads (adopting entries by reference).
-		c.msgs = append(c.msgs, m.ShallowClone())
+	c.mu.Lock()
+	if c.taken || m.From < 0 || int(m.From) >= len(c.senders) || c.senders[m.From] {
+		c.mu.Unlock()
+		return
+	}
+	c.senders[m.From] = true
+	// Shallow clone: one arriving message may be accepted by several
+	// concurrent calls (and is also handed to the algorithm's handler).
+	// Each call gets a private envelope, but the payload slices — the
+	// O(n·ν) Reg vector of an ack — are shared: arriving messages are
+	// immutable by the transport contract, and the algorithms' merge
+	// paths only read Rec payloads (adopting entries by reference).
+	c.msgs = append(c.msgs, m.ShallowClone())
+	wake := c.wakeEach || len(c.msgs) == c.quorum
+	c.mu.Unlock()
+	if wake {
 		c.notify.Set()
 	}
-	<-c.mu
 }
 
-func (c *call) snapshot() (int, []*wire.Message) {
-	c.mu <- struct{}{}
-	n := len(c.senders)
-	msgs := make([]*wire.Message, len(c.msgs))
-	copy(msgs, c.msgs)
-	<-c.mu
-	return n, msgs
+// kept returns the number of acks kept so far, one per distinct sender.
+func (c *call) kept() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.msgs)
+}
+
+// take ends the collection and returns the first k kept acks (all of them
+// if k < 0) as the Rec set. Nothing is appended to it afterwards, so the
+// caller owns the slice.
+func (c *call) take(k int) []*wire.Message {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.taken = true
+	if k < 0 || k > len(c.msgs) {
+		k = len(c.msgs)
+	}
+	return c.msgs[:k]
 }
 
 // offer routes an arriving message to every registered call; each call's
@@ -98,6 +135,11 @@ type CallOpts struct {
 // node fails or shuts down mid-call, and retries across an
 // undetectable restart are the caller's responsibility.
 //
+// The caller wakes once, when the quorum-th distinct sender's ack arrives;
+// with Stop set it wakes on every accepted ack instead, to re-check Stop.
+// Acks from outside [0, N) are not counted, and acks arriving after Call
+// has taken its Rec set are neither copied nor kept.
+//
 // Call is scoped to object 0 — the only object a single-object runtime
 // has. Multi-object algorithms call through their ObjView, which stamps
 // and scopes to its own object id.
@@ -116,13 +158,7 @@ func (r *Runtime) callObj(obj int32, o CallOpts) ([]*wire.Message, error) {
 		return nil, err
 	}
 
-	c := &call{
-		obj:     obj,
-		accept:  o.Accept,
-		mu:      make(chan struct{}, 1),
-		senders: make(map[int32]struct{}),
-		notify:  r.clk.NewSignal(),
-	}
+	c := newCall(obj, r.n, quorum, o.Accept, o.Stop != nil, r.clk.NewSignal())
 	r.mu.Lock()
 	r.collector.next++
 	c.id = r.collector.next
@@ -150,8 +186,7 @@ func (r *Runtime) callObj(obj int32, o CallOpts) ([]*wire.Message, error) {
 	}
 
 	if o.Stop != nil && o.Stop() {
-		_, msgs := c.snapshot()
-		return msgs, nil
+		return c.take(-1), nil
 	}
 	transmit()
 
@@ -165,17 +200,14 @@ func (r *Runtime) callObj(obj int32, o CallOpts) ([]*wire.Message, error) {
 		case 4:
 			return nil, ErrAborted
 		case 2:
-			n, msgs := c.snapshot()
-			if n >= quorum {
-				return msgs, nil
-			}
-			if o.Stop != nil && o.Stop() {
-				return msgs, nil
+			// Acks kept while Stop runs are left out of the Rec set.
+			k := c.kept()
+			if k >= quorum || (o.Stop != nil && o.Stop()) {
+				return c.take(k), nil
 			}
 		case 3:
 			if o.Stop != nil && o.Stop() {
-				_, msgs := c.snapshot()
-				return msgs, nil
+				return c.take(-1), nil
 			}
 			transmit()
 		}

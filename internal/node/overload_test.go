@@ -17,21 +17,16 @@ import (
 // immutable under the zero-copy contract, and the algorithms' merge paths
 // only read Rec payloads.
 func TestCallAcksNotAliased(t *testing.T) {
-	newCall := func() *call {
-		return &call{
-			accept:  func(*wire.Message) bool { return true },
-			mu:      make(chan struct{}, 1),
-			senders: make(map[int32]struct{}),
-			notify:  simclock.Real().NewSignal(),
-		}
+	mk := func() *call {
+		return newCall(0, 5, 3, func(*wire.Message) bool { return true }, false, simclock.Real().NewSignal())
 	}
-	c1, c2 := newCall(), newCall()
+	c1, c2 := mk(), mk()
 	m := &wire.Message{Type: wire.TWriteAck, From: 3, Reg: types.RegVector{{TS: 1, Val: types.Value("v")}}}
 	c1.offer(m)
 	c2.offer(m)
 
-	_, msgs1 := c1.snapshot()
-	_, msgs2 := c2.snapshot()
+	msgs1 := c1.take(-1)
+	msgs2 := c2.take(-1)
 	if msgs1[0] == m || msgs2[0] == m || msgs1[0] == msgs2[0] {
 		t.Fatal("calls share the arriving message pointer")
 	}

@@ -143,6 +143,26 @@ func TestCorruptedFrameBetweenGoodFrames(t *testing.T) {
 	}
 }
 
+// TestSenderNamedByConnection: the sender of a frame is the peer whose
+// connection carried it, not the From encoded in the frame. A frame on peer
+// 1's connection that claims to come from node 2 arrives from 1, so one
+// corrupted frame cannot make peer 1 count twice toward a quorum.
+func TestSenderNamedByConnection(t *testing.T) {
+	m, err := NewMesh(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	conn := dialRaw(t, m.Transports[0], 1)
+	if _, err := conn.Write(rawFrame(wire.Marshal(&wire.Message{Type: wire.TWriteAck, From: 2, SSN: 5}))); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := recvWithTimeout(t, m.Transports[0], 0)
+	if !ok || got.SSN != 5 || got.From != 1 || got.To != 0 {
+		t.Fatalf("want SSN 5 from 1 to 0, got %+v ok=%v", got, ok)
+	}
+}
+
 // TestBadLengthPrefixClosesConnection: a zero or over-maxFrame length can
 // only be corruption, and nothing after it can be trusted to be a frame
 // boundary, so the transport closes the connection.

@@ -389,11 +389,13 @@ func (t *Transport) readLoop(conn net.Conn, k int) {
 			t.counters.RecordBadFrame()
 			continue
 		}
-		// The receiver stamps the destination: a broadcast shares one
-		// envelope across all peers, so the wire To field is not
-		// per-recipient. A frame that arrived here is, by construction,
-		// addressed to this node.
-		m.To = int32(t.self)
+		// The receiver stamps both ends of the link: a broadcast shares
+		// one envelope across all peers, so the wire To field is not
+		// per-recipient, and a frame that arrived here is, by
+		// construction, addressed to this node from peer k. The encoded
+		// From is not trusted: quorum calls count distinct senders, and a
+		// corrupted From would let peer k count as another node.
+		m.From, m.To = int32(k), int32(t.self)
 		t.accept(m)
 	}
 }
